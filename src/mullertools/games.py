@@ -442,8 +442,11 @@ def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
     For each size, every canonical colour-update structure is paired with a
     depth-first search over strategy tables on the reachable configurations;
     the first size admitting a verified winning pair is returned, or None
-    when none up to max_size works.
+    when none up to max_size works; a size below 1 raises
+    PreconditionViolation.
     """
+    if max_size < 1:
+        raise PreconditionViolation(f"state budget {max_size} is below 1")
     g = len(arena.colours)
     if g > 8 or arena.n_vertices * max_size > 400:
         raise ScaleGuard("exhaustive memory search limited to small games")

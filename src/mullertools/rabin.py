@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import (Alphabet, Automaton, MalformedInput, MullerAcceptance,
-                   MullerCondition, PropertyViolation, RabinAcceptance,
+                   MullerCondition, PreconditionViolation,
+                   PropertyViolation, RabinAcceptance,
                    ScaleGuard, UnsupportedOperation, _realizable_sets_all,
                    accepting_colour_set, bit_indices,
                    strongly_connected_components, submasks)
@@ -353,205 +354,194 @@ def acceptance_to_condition(aut: Automaton) -> MullerCondition:
 # ---------------------------------------------------------------------------
 # Smallest transition structure making a condition Rabin-expressible.
 
+class _Typeness:
+    """Rejecting realizable colour sets at each state of a table filled cell
+    by cell in row-major order; transitions output the letter they read.
+
+    A new edge only creates cycles through itself, so add() looks only at the
+    rejecting colour sets holding its letter, inside the strongly connected
+    component of the new edge.  A set newly realizable at a state is tested
+    against those recorded there: two rejecting sets with an accepting union
+    rule out Rabin acceptance, and adding edges never repairs that.
+    """
+
+    def __init__(self, k: int, g: int, acc: bytearray):
+        self.k, self.g, self.acc = k, g, acc
+        self.letters_of = [[a for a in range(g) if (c >> a) & 1] for c in range(1 << g)]
+        self.rejecting_with = [[c for c in range(1 << g) if (c >> a) & 1 and not acc[c]]
+                               for a in range(g)]
+        self.sets: list[list[int]] = [[] for _ in range(k)]
+        self.seen = bytearray(k << g)
+        self.trail: list[tuple[int, int]] = []  # (state, set) in recording order
+        self.marks: list[int] = []  # trail length before each accepted cell
+
+    def add(self, flat: list[int], i: int) -> bool:
+        """Record the edge in cell i (cells before it are filled); on a
+        violation undo the cell's records and return False."""
+        g, acc, sets, seen, trail = self.g, self.acc, self.sets, self.seen, self.trail
+        q, a = divmod(i, g)
+        mark = len(trail)
+        # every cycle through the new edge lies in its component over all letters
+        within, used = self._cycle(flat, i, self.letters_of[-1], (2 << q) - 1)
+        for colours in self.rejecting_with[a] if within else ():
+            if colours & ~used:
+                continue
+            comp, cover = self._cycle(flat, i, self.letters_of[colours], within)
+            if cover != colours:
+                continue
+            for u in bit_indices(comp):
+                if seen[u << g | colours]:
+                    continue
+                if any(acc[other | colours] for other in sets[u]):
+                    self.marks.append(mark)
+                    self.undo()
+                    return False
+                sets[u].append(colours)
+                seen[u << g | colours] = 1
+                trail.append((u, colours))
+        self.marks.append(mark)
+        return True
+
+    def _cycle(self, flat: list[int], i: int, letters: list[int],
+               within: int) -> tuple[int, int]:
+        """Strongly connected component, among the states in within, of the
+        edge in cell i over the given letters, and the letters inside it;
+        (0, 0) when that edge lies on no cycle."""
+        g = self.g
+        q = i // g
+        adj = [0] * self.k
+        for u in bit_indices(within):
+            base = u * g
+            for b in letters:
+                if base + b <= i:
+                    adj[u] |= 1 << flat[base + b]
+        reach = frontier = 1 << flat[i]
+        while frontier:
+            step = 0
+            for u in bit_indices(frontier):
+                step |= adj[u]
+            frontier = step & ~reach
+            reach |= step
+        if not (reach >> q) & 1:
+            return 0, 0
+        comp = 1 << q  # grows to the states of reach that reach q
+        while more := sum(1 << u for u in bit_indices(reach & ~comp) if adj[u] & comp):
+            comp |= more
+        cover = 0
+        for u in bit_indices(comp):
+            base = u * g
+            for b in letters:
+                if base + b <= i and (comp >> flat[base + b]) & 1:
+                    cover |= 1 << b
+        return comp, cover
+
+    def undo(self) -> None:
+        """Forget the records of the last accepted cell."""
+        mark = self.marks.pop()
+        while len(self.trail) > mark:
+            u, colours = self.trail.pop()
+            self.sets[u].pop()
+            self.seen[u << self.g | colours] = 0
+
+
+def _tables(k: int, g: int, prefix: tuple[int, ...] = (),
+            check: Optional[_Typeness] = None) -> Iterator[tuple[int, ...]]:
+    """Complete first-reference tables with k states over g letters that
+    start with prefix, in lexicographic order.  With a check, only tables it
+    accepts, pruned after every cell; an exhausted enumeration leaves the
+    check as it found it."""
+    return _extend([0] * (k * g), 0, 0, k, g, prefix, check)
+
+
+def _extend(flat: list[int], i: int, top: int, k: int, g: int,
+            prefix: tuple[int, ...], check: Optional[_Typeness]) -> Iterator[tuple[int, ...]]:
+    # a module-level recursion, so no closure cycle keeps the check alive
+    if i == len(flat):
+        if top == k - 1:
+            yield tuple(flat)
+        return
+    if i // g > top or k - 1 - top > len(flat) - i:
+        return  # this row's state is unreferenced, or too few cells remain
+    for v in (prefix[i],) if i < len(prefix) else range(min(top + 1, k - 1) + 1):
+        flat[i] = v
+        if check is None or check.add(flat, i):
+            yield from _extend(flat, i + 1, v if v > top else top, k, g, prefix, check)
+            if check is not None:
+                check.undo()
+
+
 def canonical_structures(num_states: int, num_letters: int) -> Iterator[tuple[int, ...]]:
     """Complete deterministic transition tables, one per isomorphism class.
 
     Tables are flat tuples in row-major order (state major, letter minor).
     State ids appear in first-reference order starting from state 0, and
     every yielded table references all states, so each reachable structure on
-    exactly num_states states shows up exactly once.
+    exactly num_states states shows up exactly once, in lexicographic order.
     """
-    k, g = num_states, num_letters
-    total = k * g
-    flat = [0] * total
-
-    def rec(i: int, top: int) -> Iterator[tuple[int, ...]]:
-        if i == total:
-            if top == k - 1:
-                yield tuple(flat)
-            return
-        q = i // g
-        if q > top:
-            return  # this state was never referenced, nor will it be
-        if (k - 1 - top) > (total - i):
-            return  # not enough cells left to reference the missing states
-        limit = min(top + 1, k - 1)
-        for v in range(limit + 1):
-            flat[i] = v
-            yield from rec(i + 1, v if v > top else top)
-
-    yield from rec(0, 0)
+    return _tables(num_states, num_letters)
 
 
-def _acceptance_table(cond: MullerCondition) -> bytearray:
-    table = bytearray(1 << len(cond.alphabet))
-    for bits in cond.accepting:
-        table[bits] = 1
-    return table
+def _letter_swaps(cond: MullerCondition) -> list[tuple[int, int]]:
+    """Transpositions of two letters that map the accepting family onto itself."""
+    def swapped(bits: int, a: int, b: int) -> int:
+        flip = ((bits >> a) ^ (bits >> b)) & 1
+        return bits ^ (flip << a | flip << b)
+
+    g = len(cond.alphabet)
+    return [(a, b) for a in range(g) for b in range(a + 1, g)
+            if all(swapped(bits, a, b) in cond.accepting for bits in cond.accepting)]
 
 
-def _letters_lists(g: int) -> list[list[int]]:
-    return [[a for a in range(g) if (c >> a) & 1] for c in range(1 << g)]
+def _kept_first_rows(k: int, g: int, swaps: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """First-reference first rows in lexicographic order, without those that
+    a family-preserving letter swap, renumbered, makes smaller.  Renaming
+    letters that way keeps typeness, so the smallest typeable table never
+    starts with a dropped row."""
+    rows: list[tuple[int, ...]] = [()]
+    for _ in range(g):
+        rows = [row + (v,) for row in rows
+                for v in range(min(max(row, default=0) + 1, k - 1) + 1)]
 
-
-def _structure_violation(k: int, g: int, flat, rows: int, acc: bytearray,
-                         letters_of: list[list[int]]) -> bool:
-    """Typeness failure of the structure restricted to its first filled rows.
-
-    Edges of unfilled rows are absent; since finishing the table only adds
-    edges, a failure found here persists in every completion.
-    """
-    rejecting: list[list[int]] = [[] for _ in range(k)]
-    for colour_set in range(1, 1 << g):
-        letters = letters_of[colour_set]
-        adj = [0] * k
-        for q in range(rows):
-            base = q * g
-            mask = 0
-            for a in letters:
-                mask |= 1 << flat[base + a]
-            adj[q] = mask
-        reach = list(adj)
-        for t in range(k):
-            rt = reach[t]
-            tb = 1 << t
-            for q in range(k):
-                if reach[q] & tb:
-                    reach[q] |= rt
-        done = 0
-        for q in range(k):
-            if (done >> q) & 1 or not (reach[q] >> q) & 1:
-                continue
-            comp = 0
-            for t in range(k):
-                if (reach[q] >> t) & 1 and (reach[t] >> q) & 1:
-                    comp |= 1 << t
-            done |= comp
-            cover = 0
-            members = comp
-            while members:
-                u = (members & -members).bit_length() - 1
-                members &= members - 1
-                if u < rows:
-                    base = u * g
-                    for a in letters:
-                        if (comp >> flat[base + a]) & 1:
-                            cover |= 1 << a
-            if cover == colour_set and not acc[colour_set]:
-                members = comp
-                while members:
-                    u = (members & -members).bit_length() - 1
-                    members &= members - 1
-                    rejecting[u].append(colour_set)
-    for q in range(k):
-        sets = rejecting[q]
-        for i, first in enumerate(sets):
-            for second in sets[i + 1:]:
-                if acc[first | second]:
-                    return True
-    return False
-
-
-def _input_determined_tables(k: int, g: int) -> Iterator[tuple[int, ...]]:
-    """Tables where the target only depends on the letter, all states used."""
-    if k > g + 1:
-        return  # g letters can introduce at most g states beyond the initial one
-    assignment = [0] * g
-
-    def rec(a: int, top: int) -> Iterator[tuple[int, ...]]:
-        if a == g:
-            if top == k - 1:
-                yield tuple(assignment) * k
-            return
-        if (k - 1 - top) > (g - a):
-            return
-        limit = min(top + 1, k - 1)
-        for v in range(limit + 1):
-            assignment[a] = v
-            yield from rec(a + 1, v if v > top else top)
-
-    yield from rec(0, 0)
-
-
-def _search_with_prefix(k: int, g: int, acc: bytearray, prefix: tuple[int, ...],
-                        letters_of: list[list[int]]) -> Optional[tuple[int, ...]]:
-    """Depth-first completion of a table whose first row is fixed."""
-    total = k * g
-    flat = list(prefix) + [0] * (total - g)
-    top0 = max(prefix)
-
-    result: Optional[tuple[int, ...]] = None
-
-    def rec(i: int, top: int) -> bool:
-        nonlocal result
-        if i == total:
-            if top == k - 1 and not _structure_violation(k, g, flat, k, acc, letters_of):
-                result = tuple(flat)
-                return True
-            return False
-        q, a = divmod(i, g)
-        if q > top:
-            return False
-        if (k - 1 - top) > (total - i):
-            return False
-        if a == 0 and _structure_violation(k, g, flat, q, acc, letters_of):
-            return False
-        limit = min(top + 1, k - 1)
-        for v in range(limit + 1):
-            flat[i] = v
-            if rec(i + 1, v if v > top else top):
+    def beaten(row: tuple[int, ...]) -> bool:
+        for a, b in swaps:
+            names = {0: 0}
+            image = list(row)
+            image[a], image[b] = row[b], row[a]
+            if tuple(names.setdefault(v, len(names)) for v in image) < row:
                 return True
         return False
 
-    rec(g, top0)
-    return result
-
-
-def _row_prefixes(k: int, g: int) -> list[tuple[int, ...]]:
-    """Canonical assignments of the first table row."""
-    prefixes: list[tuple[int, ...]] = []
-    row = [0] * g
-
-    def rec(a: int, top: int) -> None:
-        if a == g:
-            prefixes.append(tuple(row))
-            return
-        limit = min(top + 1, k - 1)
-        for v in range(limit + 1):
-            row[a] = v
-            rec(a + 1, v if v > top else top)
-
-    rec(0, 0)
-    return prefixes
+    return [row for row in rows if not beaten(row)]
 
 
 def _search_worker(args) -> Optional[tuple[int, ...]]:
-    k, g, acc_bytes, prefix = args
-    return _search_with_prefix(k, g, bytearray(acc_bytes), prefix, _letters_lists(g))
+    k, g, acc, row = args
+    return next(_tables(k, g, row, _Typeness(k, g, bytearray(acc))), None)
 
 
-def _find_structure(k: int, g: int, acc: bytearray, threads: int) -> Optional[tuple[int, ...]]:
-    letters_of = _letters_lists(g)
+def _find_structure(k: int, g: int, acc: bytearray, swaps: list[tuple[int, int]],
+                    threads: int) -> Optional[tuple[int, ...]]:
+    rows = _kept_first_rows(k, g, swaps)
+    check = _Typeness(k, g, acc)
     # letter-determined tables first: they cover proper-colouring style
     # witnesses immediately and keep the returned structure small and tidy
-    for flat in _input_determined_tables(k, g):
-        if not _structure_violation(k, g, flat, k, acc, letters_of):
-            return flat
-    prefixes = _row_prefixes(k, g)
+    for row in rows:
+        if max(row, default=0) == k - 1:
+            for flat in _tables(k, g, row * k, check):
+                return flat
     if threads > 1 and k * g > 6:
         import multiprocessing
 
-        jobs = [(k, g, bytes(acc), prefix) for prefix in prefixes]
         with multiprocessing.Pool(threads) as pool:
+            jobs = [(k, g, bytes(acc), row) for row in rows]
             for result in pool.imap(_search_worker, jobs):
                 if result is not None:
                     pool.terminate()
                     return result
         return None
-    for prefix in prefixes:
-        result = _search_with_prefix(k, g, acc, prefix, letters_of)
-        if result is not None:
-            return result
+    for row in rows:
+        for flat in _tables(k, g, row, check):
+            return flat
     return None
 
 
@@ -560,21 +550,29 @@ def min_rabin_size(cond: MullerCondition, max_states: int, *,
     """Fewest states of a deterministic structure over the condition's own
     colours on which the condition becomes Rabin-expressible.
 
-    Tries every reachable transition structure with 1, 2, ... states (one
-    representative per isomorphism class, letter-determined tables first) and
-    returns the first size admitting a typeable structure, together with the
-    witness as a Muller automaton whose transitions output the letter they
-    read.  Returns (None, None) when no structure up to max_states works.
+    Tries first-reference tables (one per isomorphism class) with 1, 2, ...
+    states and returns the first size admitting a typeable structure, with
+    the witness as a Muller automaton whose transitions output the letter
+    they read: the first typeable letter-determined table, else the
+    lexicographically first typeable one.  Typeness is checked after every
+    filled cell; first rows that a family-preserving swap of two letters
+    makes smaller are skipped, and threads > 1 splits the kept first rows
+    over worker processes.  Returns (None, None) when no structure up to
+    max_states works; a budget below 1 raises PreconditionViolation.
     """
+    if max_states < 1:
+        raise PreconditionViolation(f"state budget {max_states} is below 1")
     g = len(cond.alphabet)
     if g > 16:
-        raise ScaleGuard("condition alphabet above 16 symbols")
+        raise ScaleGuard(f"condition alphabet of {g} symbols, limit 16")
     if max_states * g > 36:
-        raise ScaleGuard("max_states times alphabet size above 36; the"
-                         " structure search would not finish at desk scale")
-    acc = _acceptance_table(cond)
+        raise ScaleGuard(f"{max_states} states × {g} letters = {max_states * g}"
+                         " cells, limit 36; the structure search would not"
+                         " finish at desk scale")
+    acc = bytearray(bits in cond.accepting for bits in range(1 << g))
+    swaps = _letter_swaps(cond)
     for k in range(1, max_states + 1):
-        flat = _find_structure(k, g, acc, threads)
+        flat = _find_structure(k, g, acc, swaps, threads)
         if flat is not None:
             rows = tuple(tuple((flat[q * g + a], a) for a in range(g))
                          for q in range(k))

@@ -97,3 +97,55 @@ def positional_parity_winner(eve, edges, out_edges, start) -> bool:
                for adam_pick in itertools.product(*(out_edges[v] for v in adam_vs))):
             return True
     return False
+
+
+def first_reference_tables(k: int, g: int) -> list[tuple[int, ...]]:
+    """Every flat k-state, g-letter table (row-major) whose states are all
+    reachable from state 0 and numbered in order of first reference, found by
+    filtering itertools.product."""
+    def first_reference(flat) -> bool:
+        top = 0
+        for v in flat:
+            if v > top + 1:
+                return False
+            top = max(top, v)
+        return True
+
+    tables = []
+    for flat in itertools.product(range(k), repeat=k * g):
+        if not first_reference(flat):
+            continue
+        reached, frontier = {0}, [0]
+        while frontier:
+            q = frontier.pop()
+            for dst in flat[q * g:(q + 1) * g]:
+                if dst not in reached:
+                    reached.add(dst)
+                    frontier.append(dst)
+        if len(reached) == k:
+            tables.append(flat)
+    return tables
+
+
+def table_typeable(flat, k: int, g: int, accepting) -> bool:
+    """Rabin typeness of a letter-output table, judged from closed_walk_sets:
+    no state has two rejecting cycle sets whose union is accepting."""
+    edges = [(q, flat[q * g + a], 1 << a) for q in range(k) for a in range(g)]
+    for state in range(k):
+        rejecting = [s for s in closed_walk_sets(k, edges, state) if s not in accepting]
+        if any(x | y in accepting for x in rejecting for y in rejecting):
+            return False
+    return True
+
+
+def brute_min_rabin_size(g: int, accepting, max_states: int):
+    """(size, table) of the smallest typeable table over g letters, or
+    (None, None).  The table is the first typeable letter-determined one
+    (every row alike), else the lexicographically first typeable one."""
+    for k in range(1, max_states + 1):
+        tables = first_reference_tables(k, g)
+        determined = [flat for flat in tables if flat == flat[:g] * k]
+        for flat in determined + tables:
+            if table_typeable(flat, k, g, accepting):
+                return k, flat
+    return None, None

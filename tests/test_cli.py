@@ -69,6 +69,17 @@ def test_memchrom(capsys, cond_file):
     assert data["witness"]["states"] == 2
 
 
+def test_state_budget_below_one_is_exit_two(capsys, cond_file, tmp_path):
+    code, out, err = run(capsys, "memchrom", cond_file, "--max-size", "0")
+    assert code == 2
+    assert out == "" and "below 1" in err
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(arena_to_json(separation_game(), separation_condition())))
+    code, out, err = run(capsys, "memgame", str(game), "--max-size", "0")
+    assert code == 2
+    assert out == "" and "below 1" in err
+
+
 def test_zt2parity_then_minparity(capsys, cond_file, tmp_path):
     code, out, _ = run(capsys, "zt2parity", cond_file)
     assert code == 0

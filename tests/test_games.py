@@ -246,6 +246,13 @@ def test_exhaustive_chromatic_memory_tiny():
     assert min_chromatic_memory_exhaustive(hopeless, cond, 2) is None
 
 
+def test_exhaustive_budget_below_one_is_refused():
+    from mullertools.core import PreconditionViolation
+    arena = two_cycle_game(("a",), ("b",), AB)
+    with pytest.raises(PreconditionViolation):
+        min_chromatic_memory_exhaustive(arena, at_least_two_colours(AB), 0)
+
+
 def test_exhaustive_scale_guard():
     from mullertools.core import ScaleGuard
     arena = separation_game()

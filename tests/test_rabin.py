@@ -1,11 +1,13 @@
 """Rabin typeness, pair synthesis, equivalence checks and the structure search."""
 import itertools
 import random
+import time
 
 import pytest
 
 from mullertools.core import (Alphabet, Automaton, MullerAcceptance,
-                              MullerCondition, PeriodicWord, ScaleGuard,
+                              MullerCondition, PeriodicWord,
+                              PreconditionViolation, ScaleGuard,
                               accepting_colour_set, accepts_up_word,
                               bit_indices, build_automaton)
 from mullertools.rabin import (NotRabinTypeable, acceptance_to_condition,
@@ -13,11 +15,14 @@ from mullertools.rabin import (NotRabinTypeable, acceptance_to_condition,
                                chromatic_memory, min_rabin_size,
                                muller_equivalent, rabin_equivalent,
                                synthesize_rabin_pairs)
+from mullertools.games import exactly_two_colours
+from mullertools.graphs import SimpleGraph, graph_edge_condition
 from mullertools.zielonka import parity_automaton
 
 from generators import (random_condition, random_muller_automaton,
                         random_rabin_automaton)
-from oracles import automaton_cycle_sets
+from oracles import (automaton_cycle_sets, brute_min_rabin_size,
+                     first_reference_tables)
 
 
 def echo_automaton(cond: MullerCondition) -> Automaton:
@@ -168,6 +173,54 @@ def test_canonical_structures_counts():
     assert len(set(tables)) == len(tables)
 
 
+@pytest.mark.parametrize("k,g", [(2, 3), (3, 2), (3, 3)])
+def test_canonical_structures_order(k, g):
+    assert list(canonical_structures(k, g)) == sorted(first_reference_tables(k, g))
+
+
+def flat_table(witness: Automaton) -> tuple[int, ...]:
+    return tuple(target for row in witness.delta for target, _ in row)
+
+
+def test_min_rabin_size_matches_brute_force():
+    rng = random.Random(89)
+    for _ in range(40):
+        g = rng.choice((1, 2, 3))
+        cond = random_condition(rng, g)
+        bound = 3 if g == 3 else 4
+        size, witness = min_rabin_size(cond, bound)
+        expected_size, expected_table = brute_min_rabin_size(g, cond.accepting, bound)
+        assert size == expected_size
+        if size is not None:
+            assert flat_table(witness) == expected_table
+
+
+def test_min_rabin_size_k4_plus_pendant():
+    graph = SimpleGraph(5, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5)))
+    start = time.perf_counter()
+    size, witness = min_rabin_size(graph_edge_condition(graph), 4)
+    assert size == 4
+    assert check_rabin_typeable(witness).typeable
+    assert time.perf_counter() - start < 30
+
+
+def test_min_rabin_size_invariant_under_letter_renaming():
+    # the 5-cycle's edge condition is preserved by the ten dihedral symmetries
+    cond = graph_edge_condition(SimpleGraph(5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))))
+    sets = [cond.alphabet.names(bits) for bits in cond.accepting]
+    for order in ("12345", "31524", "54321", "24135"):
+        renamed = MullerCondition.make(tuple(order), sets)
+        size, witness = min_rabin_size(renamed, 3)
+        assert size == 3
+        assert check_rabin_typeable(witness).typeable
+
+
+def test_exactly_two_colours_frozen_witness():
+    size, witness = min_rabin_size(exactly_two_colours("abcd"), 4)
+    assert size == 4
+    assert flat_table(witness) == (0, 1, 2, 3) * 4
+
+
 def test_min_rabin_size_frozen_values():
     size, witness = min_rabin_size(both_letters(), 4)
     assert size == 2
@@ -197,6 +250,14 @@ def test_min_rabin_size_not_found_within_bound():
     assert size is None and witness is None
 
 
+def test_state_budget_below_one_is_refused():
+    for budget in (0, -1):
+        with pytest.raises(PreconditionViolation):
+            min_rabin_size(both_letters(), budget)
+        with pytest.raises(PreconditionViolation):
+            chromatic_memory(both_letters(), budget)
+
+
 def test_chromatic_memory_matches_search():
     assert chromatic_memory(both_letters(), 4) == 2
     assert chromatic_memory(exactly_two_of_three(), 4) == 3
@@ -205,13 +266,20 @@ def test_chromatic_memory_matches_search():
 def test_threads_agree():
     cond = exactly_two_of_three()
     assert min_rabin_size(cond, 4)[0] == min_rabin_size(cond, 4, threads=2)[0]
+    # no letter-determined table fits here, so workers search the first rows
+    mixed = MullerCondition(Alphabet(tuple("abcd")),
+                            frozenset((1, 2, 3, 4, 5, 6, 8, 10, 11, 13, 14, 15)))
+    _, witness = min_rabin_size(mixed, 3)
+    assert flat_table(witness) == (0, 0, 0, 1, 1, 0, 2, 1, 0, 0, 2, 2)
+    assert flat_table(min_rabin_size(mixed, 3, threads=2)[1]) == flat_table(witness)
 
 
 def test_min_rabin_scale_guards():
     wide = MullerCondition.make(tuple(f"s{i}" for i in range(17)),
                                 [tuple(f"s{i}" for i in range(17))])
-    with pytest.raises(ScaleGuard):
+    with pytest.raises(ScaleGuard, match="17 symbols, limit 16"):
         min_rabin_size(wide, 1)
     cond = exactly_two_of_three()
-    with pytest.raises(ScaleGuard):
-        min_rabin_size(cond, 13)  # 13 states times 3 letters is past the limit
+    with pytest.raises(ScaleGuard, match="13 states × 3 letters = 39 cells, limit 36"):
+        min_rabin_size(cond, 13)
+    assert min_rabin_size(cond, 12)[0] == 3  # 36 cells are within the limit
