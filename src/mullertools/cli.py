@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_MALFORMED = 2
 EXIT_SCALE = 3
+EXIT_INTERNAL = 4  # a defect in mullertools, not in the input
 
 
 def _read_json(path: str) -> object:
@@ -362,6 +363,11 @@ def main(argv=None) -> int:
     except MullerToolsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except Exception:
+        # the interpreter's own report, without importing traceback on
+        # every command
+        sys.excepthook(*sys.exc_info())
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

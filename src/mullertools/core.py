@@ -448,6 +448,51 @@ def ergodic_components(
     return [comps[i] for i in range(len(comps)) if i not in leaky]
 
 
+def _cycle_covers(edges: Sequence[tuple[int, int, int]]
+                  ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every strongly connected component of every label restriction of a
+    graph, once each, as (sorted vertex tuple, cover).
+
+    edges are (src, dst, label) with label a bitset.  A restriction drops the
+    edges whose label meets some set of bits; silent edges (label 0) are
+    never dropped.  A component's cover is the union of its internal edges'
+    labels.  Each component with an internal edge that is strongly connected
+    in the restriction to the labels inside its own cover is yielded, so the
+    covers at a vertex are exactly the label sets of closed walks through it.
+
+    Emerson-Lei refinement, with no memo: a component is split again once per
+    free bit, where the i-th child drops that bit and must keep the free bits
+    before it, so no cover is reached twice.  The search is depth first:
+    top-level components come in order of smallest vertex, each with all
+    covers inside it before the next, and a component comes before the
+    covers inside it, so a consumer may stop at the first cover it rejects.
+    """
+    def split(edges, vertices, need):
+        found = []
+        for comp, internal in strongly_connected_components(vertices, edges):
+            cover = 0
+            for e in internal:
+                cover |= e[2]
+            if internal and not need & ~cover:
+                found.append((comp, internal, cover, need))
+        return found
+
+    ends = {v for e in edges for v in e[:2]}
+    stack = split(edges, ends, 0)[::-1]
+    while stack:
+        comp, internal, cover, need = stack.pop()
+        yield comp, cover
+        children = []
+        free = cover & ~need
+        while free:
+            bit = free & -free
+            free ^= bit
+            kept = [e for e in internal if not e[2] & bit]
+            children += split(kept, comp, need)
+            need |= bit
+        stack += reversed(children)
+
+
 def _realizable_sets_all(n_states: int,
                          edges: Sequence[tuple[int, int, int]],
                          *, guard_bits: int = 20) -> list[set[int]]:
@@ -461,23 +506,11 @@ def _realizable_sets_all(n_states: int,
     for _, _, bit in edges:
         used |= bit
     if used.bit_count() > guard_bits:
-        raise ScaleGuard(
-            f"{used.bit_count()} distinct colours on cycles exceeds the"
-            f" 2^{guard_bits} subset enumeration limit")
+        raise ScaleGuard(f"{used.bit_count()} distinct colours, limit {guard_bits}")
     result: list[set[int]] = [set() for _ in range(n_states)]
-    for colour_set in submasks(used):
-        sub = [e for e in edges if e[2] & colour_set]
-        if not sub:
-            continue
-        for comp, internal in strongly_connected_components(range(n_states), sub):
-            if not internal:
-                continue
-            coverage = 0
-            for _, _, bit in internal:
-                coverage |= bit
-            if coverage == colour_set:
-                for v in comp:
-                    result[v].add(colour_set)
+    for comp, cover in _cycle_covers(edges):
+        for v in comp:
+            result[v].add(cover)
     return result
 
 

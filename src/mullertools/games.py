@@ -7,8 +7,8 @@ from typing import Optional
 
 from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
                    PreconditionViolation, PropertyViolation, ScaleGuard,
-                   condition_from_json, condition_to_json,
-                   strongly_connected_components, submasks)
+                   _cycle_covers, condition_from_json, condition_to_json,
+                   strongly_connected_components)
 from .rabin import canonical_structures
 from .zielonka import parity_automaton
 
@@ -381,37 +381,19 @@ def _config_graph(arena: Arena, memory: MemoryStructure, move):
     return index, edges
 
 
-def _all_cycle_sets_accepting(cond: MullerCondition, arena: Arena,
-                              edges, n_nodes: int,
-                              max_colour_bits: int = 14) -> bool:
-    """Check every realizable colour set of the graph against the condition."""
-    for _, internal in strongly_connected_components(range(n_nodes), edges):
-        if not internal:
-            continue
-        cover = 0
-        for _, _, colour in internal:
-            if colour is not None:
-                cover |= 1 << colour
-        if cover.bit_count() > max_colour_bits:
-            raise ScaleGuard("too many distinct colours in one component")
-        comp_edges = internal
-        for colour_set in submasks(cover):
-            sub = [e for e in comp_edges
-                   if e[2] is None or (1 << e[2]) & colour_set]
-            for _, inner in strongly_connected_components(range(n_nodes), sub):
-                actual = 0
-                for _, _, colour in inner:
-                    if colour is not None:
-                        actual |= 1 << colour
-                if actual == colour_set:
-                    # translate arena colour positions into condition bits
-                    bits = 0
-                    for c in range(len(arena.colours)):
-                        if (colour_set >> c) & 1:
-                            bits |= cond.alphabet.bit(arena.colours.symbols[c])
-                    if not cond.admits(bits):
-                        return False
-                    break
+def _all_cycles_accepting(cond: MullerCondition, arena: Arena, edges) -> bool:
+    """Whether every cycle of a graph whose edges carry arena colours (None
+    when silent) produces an accepting set of the condition."""
+    bit = [cond.alphabet.bit(sym) for sym in arena.colours.symbols]
+    labelled = [(src, dst, 0 if colour is None else bit[colour])
+                for src, dst, colour in edges]
+    for _, cover in _cycle_covers(labelled):
+        # components come before the covers inside them, so only a whole
+        # top-level component can trip the guard, as soon as it is reached
+        if cover.bit_count() > 14:
+            raise ScaleGuard(f"{cover.bit_count()} colours in one component, limit 14")
+        if not cond.admits(cover):
+            return False
     return True
 
 
@@ -432,7 +414,7 @@ def verify_strategy(arena: Arena, cond: MullerCondition,
     index, edges = _config_graph(arena, memory, table.move)
     if len(index) > max_configs:
         raise ScaleGuard(f"configuration graph above {max_configs} nodes")
-    return _all_cycle_sets_accepting(cond, arena, edges, len(index))
+    return _all_cycles_accepting(cond, arena, edges)
 
 
 def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
@@ -506,8 +488,7 @@ def _exists_winning_table(arena: Arena, cond: MullerCondition,
             discover(nxt)
             edges.append((index[cfg], index[nxt], colour))
             assignment[cfg] = e
-            if (_all_cycle_sets_accepting(cond, arena, edges, len(index))
-                    and explore(cursor + 1)):
+            if _all_cycles_accepting(cond, arena, edges) and explore(cursor + 1):
                 return True
             del assignment[cfg]
             for gone in order[saved_nodes:]:
@@ -518,7 +499,7 @@ def _exists_winning_table(arena: Arena, cond: MullerCondition,
         return False
 
     discover((arena.initial, memory.initial))
-    if not _all_cycle_sets_accepting(cond, arena, edges, len(index)):
+    if not _all_cycles_accepting(cond, arena, edges):
         return False
     return explore(0)
 

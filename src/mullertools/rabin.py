@@ -9,8 +9,8 @@ from typing import Iterator, Optional
 from .core import (Alphabet, Automaton, MalformedInput, MullerAcceptance,
                    MullerCondition, PreconditionViolation,
                    PropertyViolation, RabinAcceptance,
-                   ScaleGuard, UnsupportedOperation, _realizable_sets_all,
-                   accepting_colour_set, bit_indices,
+                   ScaleGuard, UnsupportedOperation, _cycle_covers,
+                   _realizable_sets_all, accepting_colour_set, bit_indices,
                    strongly_connected_components, submasks)
 
 
@@ -94,42 +94,6 @@ def _failing_pair(aut: Automaton, state: int, union: int,
     raise AssertionError("covered accepting set without a tipping pair")
 
 
-def _strongly_connected_edge_subsets(
-        n_states: int, edge_ends: list[tuple[int, int]]) -> Iterator[int]:
-    """Yield bitmasks over the edge list whose edges form one strongly
-    connected sub-multigraph covering all their endpoints."""
-    m = len(edge_ends)
-    for subset in range(1, 1 << m):
-        verts = 0
-        adj = [0] * n_states
-        rest = subset
-        while rest:
-            e = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            src, dst = edge_ends[e]
-            verts |= (1 << src) | (1 << dst)
-            adj[src] |= 1 << dst
-        reach = list(adj)
-        for t in range(n_states):
-            if not (verts >> t) & 1:
-                continue
-            rt = reach[t]
-            tb = 1 << t
-            for q in range(n_states):
-                if reach[q] & tb:
-                    reach[q] |= rt
-        ok = True
-        probe = verts
-        while probe:
-            v = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            if reach[v] & verts != verts:
-                ok = False
-                break
-        if ok:
-            yield subset
-
-
 def synthesize_rabin_pairs(aut: Automaton, *, max_edges: int = 20) -> Automaton:
     """Rabin pairs over a per-transition recolouring of a Muller automaton.
 
@@ -147,24 +111,19 @@ def synthesize_rabin_pairs(aut: Automaton, *, max_edges: int = 20) -> Automaton:
     if m > max_edges:
         raise ScaleGuard(f"{m} transitions exceed the {max_edges}-edge"
                          " limit for cycle enumeration")
-    edge_ends = []
-    edge_colour_bits = []
-    for q, _, target, colour in aut.edges():
-        edge_ends.append((q, target))
-        edge_colour_bits.append(1 << colour)
+    edges = [(q, target, 1 << e) for e, (q, _, target, _) in enumerate(aut.edges())]
+    colour_of = [1 << colour for _, _, _, colour in aut.edges()]
     accepting_cycles: list[int] = []
     is_rejecting_cycle = bytearray(1 << m)
-    for subset in _strongly_connected_edge_subsets(aut.n_states, edge_ends):
+    for _, cycle in _cycle_covers(edges):
         colours = 0
-        rest = subset
-        while rest:
-            e = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            colours |= edge_colour_bits[e]
+        for e in bit_indices(cycle):
+            colours |= colour_of[e]
         if accepting_colour_set(aut.acceptance, colours):
-            accepting_cycles.append(subset)
+            accepting_cycles.append(cycle)
         else:
-            is_rejecting_cycle[subset] = 1
+            is_rejecting_cycle[cycle] = 1
+    accepting_cycles.sort()
     # union of rejecting cycles inside each edge subset, by subset recursion
     union_inside = [0] * (1 << m)
     for subset in range(1, 1 << m):
@@ -205,8 +164,7 @@ def _input_positions(a1: Automaton, a2: Automaton) -> list[int]:
 def _reachable_product(a1: Automaton, a2: Automaton, max_states: int):
     """Synchronous product reachable from the initial pair.
 
-    Returns (number of product states, edges) where each edge is
-    (src, dst, colour bit of a1, colour bit of a2).
+    Returns the edges, each (src, dst, colour bit of a1, colour bit of a2).
     """
     remap = _input_positions(a1, a2)
     index: dict[tuple[int, int], int] = {(a1.initial, a2.initial): 0}
@@ -225,7 +183,7 @@ def _reachable_product(a1: Automaton, a2: Automaton, max_states: int):
                 index[key] = len(index)
                 queue.append(key)
             edges.append((src, index[key], 1 << c1, 1 << c2))
-    return len(index), edges
+    return edges
 
 
 def _exists_accepted_rejected(edges, meet_bits: int, streett_pairs) -> bool:
@@ -258,7 +216,7 @@ def _exists_accepted_rejected(edges, meet_bits: int, streett_pairs) -> bool:
 
 def _rabin_containment_fails(a1: Automaton, a2: Automaton, max_states: int) -> bool:
     """True when some word is accepted by a1 but rejected by a2."""
-    _, edges = _reachable_product(a1, a2, max_states)
+    edges = _reachable_product(a1, a2, max_states)
     for meet, avoid in a1.acceptance.pairs:
         kept = [e for e in edges if not e[2] & avoid]
         if kept and _exists_accepted_rejected(kept, meet, a2.acceptance.pairs):
@@ -286,11 +244,12 @@ def muller_equivalent(a1: Automaton, a2: Automaton, *,
                       max_states: int = 200, max_colour_bits: int = 14) -> bool:
     """Language equality for any two acceptance kinds, by cycle enumeration.
 
-    Enumerates, over the reachable synchronous product, the colour sets each
-    side can realize on cycles; for every pair judged differently by the two
-    acceptances it looks for one cycle realizing both sets at once.
+    Labels each edge of the reachable synchronous product with the colours
+    of both sides and walks every cycle cover of the product once; the
+    languages differ exactly when some cover is judged differently by the
+    two acceptances.
     """
-    n, edges = _reachable_product(a1, a2, max_states)
+    edges = _reachable_product(a1, a2, max_states)
     used1 = used2 = 0
     for _, _, c1, c2 in edges:
         used1 |= c1
@@ -298,36 +257,14 @@ def muller_equivalent(a1: Automaton, a2: Automaton, *,
     for used, label in ((used1, "left"), (used2, "right")):
         if used.bit_count() > max_colour_bits:
             raise ScaleGuard(f"{label} side uses {used.bit_count()} colours,"
-                             f" above the 2^{max_colour_bits} enumeration limit")
-
-    def realizable(side: int, used: int) -> list[int]:
-        found = []
-        for colour_set in submasks(used):
-            sub = [e for e in edges if e[side] & colour_set]
-            for _, internal in strongly_connected_components(range(n), sub):
-                cover = 0
-                for e in internal:
-                    cover |= e[side]
-                if cover == colour_set:
-                    found.append(colour_set)
-                    break
-        return found
-
-    left = realizable(2, used1)
-    right = realizable(3, used2)
-    for c1 in left:
-        ok1 = accepting_colour_set(a1.acceptance, c1)
-        for c2 in right:
-            if ok1 == accepting_colour_set(a2.acceptance, c2):
-                continue
-            sub = [e for e in edges if e[2] & c1 and e[3] & c2]
-            for _, internal in strongly_connected_components(range(n), sub):
-                cover1 = cover2 = 0
-                for e in internal:
-                    cover1 |= e[2]
-                    cover2 |= e[3]
-                if cover1 == c1 and cover2 == c2:
-                    return False
+                             f" limit {max_colour_bits}")
+    shift = len(a1.output_alphabet)
+    joint = [(src, dst, c1 | c2 << shift) for src, dst, c1, c2 in edges]
+    left = (1 << shift) - 1
+    for _, cover in _cycle_covers(joint):
+        if (accepting_colour_set(a1.acceptance, cover & left)
+                != accepting_colour_set(a2.acceptance, cover >> shift)):
+            return False
     return True
 
 

@@ -3,8 +3,8 @@ automaton, and minimisation of parity and generalised Buchi automata."""
 from __future__ import annotations
 
 from .core import (Alphabet, Automaton, GenBuchiAcceptance, MalformedInput,
-                   PreconditionViolation, UnsupportedOperation,
-                   ergodic_components, max_inclusion,
+                   PreconditionViolation, UnsupportedOperation, _cycle_covers,
+                   accepting_colour_set, ergodic_components, max_inclusion,
                    strongly_connected_components)
 from .zielonka import ZielonkaTree, parity_automaton_from_tree
 
@@ -104,10 +104,15 @@ def zielonka_tree_from_parity(aut: Automaton) -> ZielonkaTree:
 
     def build(edges: list[Edge]) -> ZielonkaTree:
         accepting = _max_priority(edges) % 2 == 0
+        label = _letters(edges)
         kids = []
         for letter_bits in sorted(alternating_sets(edges)):
+            if letter_bits == label:
+                # two cycles over the same letters with different verdicts
+                raise PreconditionViolation(
+                    "not a Muller condition over the input letters")
             kids.append(build(complete_scc(letter_bits, edges)))
-        return ZielonkaTree(alphabet, _letters(edges), accepting, tuple(kids))
+        return ZielonkaTree(alphabet, label, accepting, tuple(kids))
 
     root = build(_ergodic_edges(aut))
     if root.label != alphabet.full_mask:
@@ -127,21 +132,24 @@ def minimize_parity(aut: Automaton) -> Automaton:
 def minimize_genbuchi(aut: Automaton) -> Automaton:
     """One-state generalised Buchi automaton for the same language.
 
-    Only sound when the language is expressible as a conjunction of
-    conditions of the form 'this input letter set is met infinitely often';
-    for other inputs the result is meaningless.  For each acceptance set the
-    cycles avoiding it are rejecting; the strongly connected parts of the
-    corresponding restriction give the inclusion-maximal rejecting input
-    sets, whose complements are the new acceptance sets.
+    For each acceptance set the cycles avoiding it are rejecting; the
+    strongly connected parts of the corresponding restriction give the
+    inclusion-maximal rejecting input sets, whose complements are the new
+    acceptance sets.  That is only right when the language is a conjunction
+    of conditions of the form 'this input letter set is met infinitely
+    often', so the result is checked against every cycle of the input, each
+    labelled with its letters and its colours, and any cover the two
+    acceptances judge differently raises PreconditionViolation.
     """
     if aut.acceptance.kind != "genbuchi":
         raise UnsupportedOperation("this operation needs a generalised Buchi automaton")
-    full = aut.input_alphabet.full_mask
+    alphabet = aut.input_alphabet
+    full = alphabet.full_mask
     rejecting: list[int] = []
     for needed in aut.acceptance.sets:
         kept = [(q, target, a) for q, a, target, colour in aut.edges()
                 if not (1 << colour) & needed]
-        for _, internal in strongly_connected_components(_vertices_3(kept), kept):
+        for _, internal in strongly_connected_components(range(aut.n_states), kept):
             if not internal:
                 continue
             letters = 0
@@ -149,17 +157,17 @@ def minimize_genbuchi(aut: Automaton) -> Automaton:
                 letters |= 1 << a
             rejecting.append(letters)
     acceptance = GenBuchiAcceptance(tuple(sorted(full & ~bits for bits in max_inclusion(rejecting))))
-    alphabet = aut.input_alphabet
-    row = tuple((0, a) for a in range(len(alphabet)))
+    n_letters = len(alphabet)
+    labelled = [(q, target, 1 << a | 1 << (n_letters + colour))
+                for q, a, target, colour in aut.edges()]
+    for _, cover in _cycle_covers(labelled):
+        if (accepting_colour_set(aut.acceptance, cover >> n_letters)
+                != accepting_colour_set(acceptance, cover & full)):
+            raise PreconditionViolation(
+                "language is not a conjunction of input letter sets met"
+                " infinitely often")
+    row = tuple((0, a) for a in range(n_letters))
     return Automaton(1, 0, alphabet, Alphabet(alphabet.symbols), (row,), acceptance)
-
-
-def _vertices_3(edges: list[tuple[int, int, int]]) -> set[int]:
-    verts: set[int] = set()
-    for src, dst, _ in edges:
-        verts.add(src)
-        verts.add(dst)
-    return verts
 
 
 __all__ = [

@@ -130,3 +130,14 @@ def random_solvable_arena(rng: random.Random, n_vertices: int, n_colours: int,
         if winner == "eve":
             return arena
     raise AssertionError("no solvable arena found in 2000 draws")
+
+
+def a_then_b(acceptance) -> Automaton:
+    """'Infinitely often a immediately followed by b' over {a, b, c}: the
+    state remembers whether the last letter was a, and the step a->b emits
+    x, everything else y.  The language depends on the order of letters, not
+    only on the set seen infinitely often."""
+    trans = {(0, "a"): (1, "y"), (0, "b"): (0, "y"), (0, "c"): (0, "y"),
+             (1, "a"): (1, "y"), (1, "b"): (0, "x"), (1, "c"): (0, "y")}
+    return build_automaton(initial=0, transitions=trans, input_symbols="abc",
+                           output_symbols="xy", acceptance=acceptance)

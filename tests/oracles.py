@@ -149,3 +149,66 @@ def brute_min_rabin_size(g: int, accepting, max_states: int):
             if table_typeable(flat, k, g, accepting):
                 return k, flat
     return None, None
+
+
+def colour_set_wins(acceptance, bits: int) -> bool:
+    """Verdict of an acceptance on a non-empty colour bitset, read straight
+    off the acceptance's fields."""
+    kind = acceptance.kind
+    if kind == "muller":
+        return bits in acceptance.condition.accepting
+    if kind == "parity":
+        top = max(p for i, p in enumerate(acceptance.priorities) if bits >> i & 1)
+        return top % 2 == 0
+    if kind == "rabin":
+        return any(bits & meet and not bits & avoid for meet, avoid in acceptance.pairs)
+    if kind == "genbuchi":
+        return all(bits & s for s in acceptance.sets)
+    raise AssertionError(f"no oracle verdict for kind {kind!r}")
+
+
+def product_agrees(a1: Automaton, a2: Automaton) -> bool:
+    """Language equality: every closed-walk colour set of the reachable
+    synchronous product, read on both sides, gets the same verdict."""
+    letters = a1.input_alphabet.symbols
+    other = [a2.input_alphabet.symbols.index(sym) for sym in letters]
+    shift = len(a1.output_alphabet.symbols)
+    start = (a1.initial, a2.initial)
+    index, frontier, edges = {start: 0}, [start], []
+    while frontier:
+        p, q = frontier.pop()
+        for a in range(len(letters)):
+            p2, c1 = a1.delta[p][a]
+            q2, c2 = a2.delta[q][other[a]]
+            if (p2, q2) not in index:
+                index[(p2, q2)] = len(index)
+                frontier.append((p2, q2))
+            edges.append((index[(p, q)], index[(p2, q2)], 1 << c1 | 1 << (shift + c2)))
+    left = (1 << shift) - 1
+    return all(colour_set_wins(a1.acceptance, mask & left)
+               == colour_set_wins(a2.acceptance, mask >> shift)
+               for node in range(len(index))
+               for mask in closed_walk_sets(len(index), edges, node))
+
+
+def strategy_wins(arena, cond, memory, moves) -> bool:
+    """Whether every closed walk of the configuration graph reachable under a
+    chromatic memory and a move dict {(vertex, memory state): edge id} has
+    an accepting colour set of the condition."""
+    bit = [1 << cond.alphabet.symbols.index(sym) for sym in arena.colours.symbols]
+    start = (arena.initial, memory.initial)
+    index, frontier, edges = {start: 0}, [start], []
+    while frontier:
+        v, m = frontier.pop()
+        options = [moves[(v, m)]] if arena.eve[v] else [
+            e for e, (src, _, _) in enumerate(arena.edges) if src == v]
+        for e in options:
+            _, dst, colour = arena.edges[e]
+            nxt = (dst, m if colour is None else memory.update[m][colour])
+            if nxt not in index:
+                index[nxt] = len(index)
+                frontier.append(nxt)
+            edges.append((index[(v, m)], index[nxt], 0 if colour is None else bit[colour]))
+    return all(mask in cond.accepting
+               for node in range(len(index))
+               for mask in closed_walk_sets(len(index), edges, node))

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from mullertools import cli
 from mullertools.cli import main
-from mullertools.core import (MullerCondition, automaton_to_json,
+from mullertools.core import (GenBuchiAcceptance, MullerCondition,
+                              ParityAcceptance, automaton_to_json,
                               condition_to_json)
 from mullertools.games import (arena_to_json, separation_condition,
                                separation_game, strategy_to_json,
@@ -13,6 +15,8 @@ from mullertools.games import (arena_to_json, separation_condition,
 from mullertools.graphs import SimpleGraph, graph_to_dimacs
 from mullertools.rabin import synthesize_rabin_pairs
 from mullertools.zielonka import parity_automaton
+
+from generators import a_then_b
 
 P3 = SimpleGraph(3, ((1, 2), (2, 3)))
 K3 = SimpleGraph(3, ((1, 2), (2, 3), (1, 3)))
@@ -97,6 +101,18 @@ def test_minbuchi_rejects_parity_input(capsys, cond_file, tmp_path):
     code, _, err = run(capsys, "minbuchi", str(aut_path))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("command,acceptance", [
+    ("minbuchi", GenBuchiAcceptance((0b01,))),
+    ("minparity", ParityAcceptance((2, 1))),
+])
+def test_minimisers_refuse_order_dependent_language(capsys, tmp_path, command, acceptance):
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps(automaton_to_json(a_then_b(acceptance))))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_rabincheck_typeable(capsys, cond_file, tmp_path):
@@ -279,6 +295,17 @@ def test_scale_guard_is_exit_three(capsys, tmp_path):
     code, _, err = run(capsys, "zielonka", str(path))
     assert code == 3
     assert "scale guard" in err
+
+
+def test_internal_error_is_exit_four(capsys, cond_file, monkeypatch):
+    def broken(args):
+        raise RuntimeError("defect under test")
+
+    monkeypatch.setattr(cli, "_cmd_mem", broken)
+    code, out, err = run(capsys, "mem", cond_file)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: defect under test" in err
 
 
 def test_unknown_subcommand_exits_two(capsys):

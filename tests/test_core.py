@@ -9,16 +9,17 @@ from mullertools.core import (Alphabet, GenBuchiAcceptance, MalformedInput,
                               MullerAcceptance, MullerCondition,
                               ParityAcceptance, PeriodicWord,
                               PreconditionViolation, RabinAcceptance,
-                              StreettAcceptance, accepting_colour_set,
-                              accepts_up_word, automaton_from_json,
-                              automaton_to_json, bit_indices, build_automaton,
+                              ScaleGuard, StreettAcceptance, _cycle_covers,
+                              accepting_colour_set, accepts_up_word,
+                              automaton_from_json, automaton_to_json,
+                              bit_indices, build_automaton,
                               complement_condition, condition_from_json,
                               condition_to_json, dualise, max_inclusion,
                               realizable_cycle_sets,
                               strongly_connected_components, submasks)
 
 from generators import random_condition, random_muller_automaton
-from oracles import automaton_cycle_sets, quad_max_inclusion
+from oracles import automaton_cycle_sets, closed_walk_sets, quad_max_inclusion
 
 
 def test_alphabet_basics():
@@ -174,6 +175,29 @@ def test_realizable_cycle_sets_over_input():
     got = set(realizable_cycle_sets(aut, 0, over="input"))
     want = automaton_cycle_sets(aut, 0, over="input")
     assert got == want
+
+
+def test_cycle_covers_match_walk_oracle():
+    rng = random.Random(163)
+    labels = (0, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110)  # silent, one and two bits
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        edges = [(rng.randrange(n), rng.randrange(n), rng.choice(labels))
+                 for _ in range(rng.randint(1, 9))]
+        found = list(_cycle_covers(edges))
+        assert len(found) == len(set(found))  # each component once
+        for v in range(n):
+            covers = {cover for comp, cover in found if v in comp}
+            assert covers == closed_walk_sets(n, edges, v)
+
+
+def test_realizable_sets_scale_guard():
+    syms = tuple(f"c{i}" for i in range(21))
+    aut = build_automaton(initial=0, transitions={(0, s): (0, s) for s in syms},
+                          input_symbols=syms, output_symbols=syms,
+                          acceptance=GenBuchiAcceptance((1,)))
+    with pytest.raises(ScaleGuard, match="21 distinct colours, limit 20"):
+        realizable_cycle_sets(aut, 0)
 
 
 def test_accepts_up_word_on_two_state_switch():

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from mullertools.core import (Alphabet, MalformedInput, MullerCondition,
-                              PreconditionViolation, PropertyViolation)
+                              PreconditionViolation, PropertyViolation,
+                              ScaleGuard)
 from mullertools.games import (Arena, MemoryStructure, ParityGame,
                                StrategyTable, arena_from_json, arena_to_json,
                                at_least_two_colours, exactly_two_colours,
@@ -17,8 +18,8 @@ from mullertools.games import (Arena, MemoryStructure, ParityGame,
                                two_state_memory_min2, verify_strategy)
 from mullertools.zielonka import general_memory, parity_automaton
 
-from generators import random_arena, random_solvable_arena
-from oracles import positional_parity_winner
+from generators import random_arena, random_condition, random_solvable_arena
+from oracles import positional_parity_winner, strategy_wins
 
 AB = Alphabet(("a", "b"))
 
@@ -203,6 +204,40 @@ def test_verify_strategy_width_mismatch():
     table = StrategyTable.from_dict({(0, 0): 0})
     with pytest.raises(MalformedInput):
         verify_strategy(arena, at_least_two_colours(AB), memory, table)
+
+
+def test_verify_strategy_matches_walk_oracle():
+    rng = random.Random(167)
+    verdicts = []
+    for _ in range(150):
+        arena = random_arena(rng, rng.randint(2, 6), 3, epsilon_free=False)
+        cond = random_condition(rng, 3)
+        if rng.random() < 0.5:  # a condition most strategies win
+            cond = MullerCondition(cond.alphabet, cond.accepting | {1, 2, 4})
+        size = rng.choice((1, 2))
+        memory = MemoryStructure("chromatic", size, 0, tuple(
+            tuple(rng.randrange(size) for _ in range(3)) for _ in range(size)))
+        moves = {(v, m): rng.choice(arena.out_edges(v))
+                 for v in range(arena.n_vertices) if arena.eve[v] for m in range(size)}
+        good = verify_strategy(arena, cond, memory, StrategyTable.from_dict(moves))
+        assert good == strategy_wins(arena, cond, memory, moves)
+        verdicts.append(good)
+    assert 20 < sum(verdicts) < 130
+
+
+def test_verify_colour_guard_follows_component_order():
+    # vertex 0 loops on colour c0 and leads to vertex 1, which loops on all
+    # fifteen colours; components are judged in order of their smallest vertex
+    colours = Alphabet(tuple(f"c{i}" for i in range(15)))
+    edges = ((0, 0, 0), (0, 1, 0)) + tuple((1, 1, c) for c in range(15))
+    arena = Arena(colours, (False, False), 0, edges)
+    memory = MemoryStructure("chromatic", 1, 0, ((0,) * 15,))
+    table = StrategyTable(())
+    everything = frozenset(range(1, 1 << 15))
+    loses_first = MullerCondition(colours, everything - {1})
+    assert not verify_strategy(arena, loses_first, memory, table)
+    with pytest.raises(ScaleGuard, match="15 colours in one component, limit 14"):
+        verify_strategy(arena, MullerCondition(colours, everything), memory, table)
 
 
 def test_condition_families():

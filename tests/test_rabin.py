@@ -19,10 +19,10 @@ from mullertools.games import exactly_two_colours
 from mullertools.graphs import SimpleGraph, graph_edge_condition
 from mullertools.zielonka import parity_automaton
 
-from generators import (random_condition, random_muller_automaton,
+from generators import (inflate, random_condition, random_muller_automaton,
                         random_rabin_automaton)
 from oracles import (automaton_cycle_sets, brute_min_rabin_size,
-                     first_reference_tables)
+                     first_reference_tables, product_agrees)
 
 
 def echo_automaton(cond: MullerCondition) -> Automaton:
@@ -115,6 +115,23 @@ def test_synthesize_rabin_pairs_language_preserved():
         produced += 1
 
 
+def test_synthesized_pairs_agree_on_random_lassos():
+    rng = random.Random(173)
+    produced = 0
+    while produced < 30:
+        aut = random_muller_automaton(rng, rng.choice((2, 3)), rng.choice((2, 3)),
+                                      rng.choice((2, 3)))
+        if not check_rabin_typeable(aut).typeable:
+            continue
+        rabin = synthesize_rabin_pairs(aut)
+        letters = aut.input_alphabet.symbols
+        for _ in range(40):
+            word = PeriodicWord(tuple(rng.choices(letters, k=rng.randrange(4))),
+                                tuple(rng.choices(letters, k=rng.randint(1, 6))))
+            assert accepts_up_word(rabin, word) == accepts_up_word(aut, word)
+        produced += 1
+
+
 def test_synthesis_edge_guard():
     rng = random.Random(73)
     aut = random_muller_automaton(rng, 3, 2, 2)
@@ -131,6 +148,23 @@ def test_rabin_equivalent_matches_generic_check():
         assert rabin_equivalent(a1, a1)
 
 
+def test_muller_equivalent_matches_product_oracle():
+    rng = random.Random(179)
+    verdicts = []
+    for _ in range(120):
+        a1 = random_muller_automaton(rng, rng.choice((1, 2, 3)), 2, rng.choice((2, 3)))
+        if rng.random() < 0.4:
+            a2 = inflate(a1, rng, 2)
+        elif rng.random() < 0.5:
+            a2 = random_rabin_automaton(rng, rng.choice((1, 2)), 2, 2, rng.choice((1, 2)))
+        else:
+            a2 = parity_automaton(random_condition(rng, 2))
+        same = muller_equivalent(a1, a2)
+        assert same == product_agrees(a1, a2)
+        verdicts.append(same)
+    assert 20 < sum(verdicts) < 100
+
+
 def test_muller_equivalent_scale_guard():
     # fifteen distinct output colours on one side trip the enumeration guard
     syms = tuple(f"c{i}" for i in range(15))
@@ -139,7 +173,7 @@ def test_muller_equivalent_scale_guard():
     aut = build_automaton(initial=0, transitions=trans, input_symbols=syms,
                           output_symbols=syms,
                           acceptance=MullerAcceptance(alpha_cond))
-    with pytest.raises(ScaleGuard):
+    with pytest.raises(ScaleGuard, match="left side uses 15 colours, limit 14"):
         muller_equivalent(aut, aut)
 
 

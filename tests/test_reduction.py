@@ -5,14 +5,16 @@ import random
 import pytest
 
 from mullertools.core import (Alphabet, Automaton, GenBuchiAcceptance,
-                              MullerCondition, PeriodicWord,
-                              UnsupportedOperation, accepts_up_word)
+                              MullerCondition, ParityAcceptance, PeriodicWord,
+                              PreconditionViolation, UnsupportedOperation,
+                              accepts_up_word)
 from mullertools.reduction import (alternating_sets, minimize_genbuchi,
                                    minimize_parity, zielonka_tree_from_parity)
 from mullertools.zielonka import (parity_automaton, trees_isomorphic,
                                   zielonka_tree)
 
-from generators import inflate, random_condition, random_recognizable_genbuchi
+from generators import (a_then_b, inflate, random_condition,
+                        random_recognizable_genbuchi)
 
 
 def at_least_two_of_three():
@@ -93,6 +95,17 @@ def test_minimize_genbuchi_frozen_ping_pong():
     small = minimize_genbuchi(aut)
     assert small.n_states == 1
     assert sorted(small.acceptance.sets) == [0b011, 0b101, 0b110]
+
+
+def test_minimize_genbuchi_refuses_order_dependent_language():
+    # one state cannot tell whether b came right after a
+    with pytest.raises(PreconditionViolation, match="not a conjunction"):
+        minimize_genbuchi(a_then_b(GenBuchiAcceptance((0b01,))))
+
+
+def test_minimize_parity_refuses_order_dependent_language():
+    with pytest.raises(PreconditionViolation, match="not a Muller condition"):
+        minimize_parity(a_then_b(ParityAcceptance((2, 1))))
 
 
 def test_minimize_genbuchi_rejects_other_kinds():
