@@ -235,7 +235,7 @@ def _cmd_gen(args) -> int:
     if args.size < 2:
         raise MalformedInput("size must be at least 2")
     if args.size > 16:
-        raise ScaleGuard("size limited to 16")
+        raise ScaleGuard(f"size {args.size}, limit 16")
     symbols = tuple(str(i) for i in range(1, args.size + 1))
     if args.what == "clique-cond":
         cond = exactly_two_colours(symbols)

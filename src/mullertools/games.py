@@ -277,11 +277,12 @@ def solve_parity_game(game: ParityGame) -> ParitySolution:
 @dataclass(frozen=True)
 class ParityProduct:
     game: ParityGame
-    n_automaton_states: int
+    index: dict[tuple[int, int], int]  # (arena vertex, automaton state) -> vertex
     edge_origin: tuple[int, ...]  # product edge -> arena edge id
 
-    def vertex(self, arena_vertex: int, automaton_state: int) -> int:
-        return arena_vertex * self.n_automaton_states + automaton_state
+    def vertex(self, arena_vertex: int, automaton_state: int) -> Optional[int]:
+        """Product vertex of a pair, or None when the pair was not built."""
+        return self.index.get((arena_vertex, automaton_state))
 
 
 def product_with_parity(arena: Arena, aut: Automaton) -> ParityProduct:
@@ -290,29 +291,38 @@ def product_with_parity(arena: Arena, aut: Automaton) -> ParityProduct:
     minimum priority, which never decides a cycle.
 
     The arena's colours must all appear in the automaton's input alphabet.
-    The product covers every (vertex, state) pair so winning regions can be
-    read off for any starting vertex.
+    The product holds only the pairs reachable from (v, initial state) for
+    some arena vertex v, numbered breadth first from those seeds in vertex
+    order.  It is closed under successors, so winning regions read off it
+    are those of the full product, and every arena vertex can be read at
+    the automaton's initial state.
     """
     if aut.acceptance.kind != "parity":
         raise PreconditionViolation("product needs a parity automaton")
     remap = [aut.input_alphabet.position(sym) for sym in arena.colours.symbols]
     priorities = aut.acceptance.priorities
     neutral = min(priorities)
-    nq = aut.n_states
-    eve = tuple(arena.eve[v] for v in range(arena.n_vertices) for _ in range(nq))
+    pairs = [(v, aut.initial) for v in range(arena.n_vertices)]
+    index = {pair: i for i, pair in enumerate(pairs)}
     edges: list[tuple[int, int, int]] = []
     origin: list[int] = []
-    for e, (src, dst, colour) in enumerate(arena.edges):
-        for q in range(nq):
+    for src, (v, q) in enumerate(pairs):  # pairs grows as new ones are found
+        for e in arena.out_edges(v):
+            _, dst, colour = arena.edges[e]
             if colour is None:
-                edges.append((src * nq + q, dst * nq + q, neutral))
+                q2, priority = q, neutral
             else:
                 q2, out_colour = aut.delta[q][remap[colour]]
-                edges.append((src * nq + q, dst * nq + q2,
-                              priorities[out_colour]))
+                priority = priorities[out_colour]
+            key = (dst, q2)
+            if key not in index:
+                index[key] = len(pairs)
+                pairs.append(key)
+            edges.append((src, index[key], priority))
             origin.append(e)
-    game = ParityGame(eve, arena.initial * nq + aut.initial, tuple(edges))
-    return ParityProduct(game, nq, tuple(origin))
+    eve = tuple(arena.eve[v] for v, _ in pairs)
+    game = ParityGame(eve, index[(arena.initial, aut.initial)], tuple(edges))
+    return ParityProduct(game, index, tuple(origin))
 
 
 # ---------------------------------------------------------------------------
@@ -345,40 +355,14 @@ def solve_muller_game(arena: Arena, cond: MullerCondition):
         if not arena.eve[v]:
             continue
         for m in range(nq):
+            # pairs not built (None) or outside the winning region are never
+            # met by a play from the initial pair that follows this table
             node = product.vertex(v, m)
             if node in solution.eve_strategy:
                 moves[(v, m)] = product.edge_origin[solution.eve_strategy[node]]
             else:
                 moves[(v, m)] = arena.out_edges(v)[0]
     return "eve", memory, StrategyTable.from_dict(moves)
-
-
-def _config_graph(arena: Arena, memory: MemoryStructure, move):
-    """Reachable (vertex, memory) graph under a strategy lookup function."""
-    start = (arena.initial, memory.initial)
-    index: dict[tuple[int, int], int] = {start: 0}
-    queue = [start]
-    edges: list[tuple[int, int, Optional[int]]] = []
-    while queue:
-        v, m = queue.pop(0)
-        src = index[(v, m)]
-        if arena.eve[v]:
-            chosen = move(v, m)
-            if chosen not in arena.out_edges(v):
-                raise MalformedInput(
-                    f"strategy picks edge {chosen} which does not leave vertex {v}")
-            options = [chosen]
-        else:
-            options = list(arena.out_edges(v))
-        for e in options:
-            _, dst, colour = arena.edges[e]
-            m2 = memory.step(m, e, colour)
-            key = (dst, m2)
-            if key not in index:
-                index[key] = len(index)
-                queue.append(key)
-            edges.append((src, index[key], colour))
-    return index, edges
 
 
 def _all_cycles_accepting(cond: MullerCondition, arena: Arena, edges) -> bool:
@@ -411,9 +395,30 @@ def verify_strategy(arena: Arena, cond: MullerCondition,
     for sym in arena.colours.symbols:
         if sym not in cond.alphabet:
             raise MalformedInput(f"arena colour {sym!r} missing from the condition")
-    index, edges = _config_graph(arena, memory, table.move)
-    if len(index) > max_configs:
-        raise ScaleGuard(f"configuration graph above {max_configs} nodes")
+    # the (vertex, memory) graph reachable under the table, breadth first
+    start = (arena.initial, memory.initial)
+    index: dict[tuple[int, int], int] = {start: 0}
+    queue = [start]
+    edges: list[tuple[int, int, Optional[int]]] = []
+    for src, (v, m) in enumerate(queue):  # queue grows as configs are found
+        if arena.eve[v]:
+            chosen = table.move(v, m)
+            if chosen not in arena.out_edges(v):
+                raise MalformedInput(
+                    f"strategy picks edge {chosen} which does not leave vertex {v}")
+            options: tuple[int, ...] = (chosen,)
+        else:
+            options = arena.out_edges(v)
+        for e in options:
+            _, dst, colour = arena.edges[e]
+            key = (dst, memory.step(m, e, colour))
+            if key not in index:
+                index[key] = len(queue)
+                queue.append(key)
+                if len(index) > max_configs:
+                    raise ScaleGuard(f"configuration graph reached {len(index)}"
+                                     f" nodes, limit {max_configs}")
+            edges.append((src, index[key], colour))
     return _all_cycles_accepting(cond, arena, edges)
 
 
@@ -430,8 +435,11 @@ def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
     if max_size < 1:
         raise PreconditionViolation(f"state budget {max_size} is below 1")
     g = len(arena.colours)
-    if g > 8 or arena.n_vertices * max_size > 400:
-        raise ScaleGuard("exhaustive memory search limited to small games")
+    if g > 8:
+        raise ScaleGuard(f"{g} colours, limit 8")
+    if arena.n_vertices * max_size > 400:
+        raise ScaleGuard(f"{arena.n_vertices} vertices × {max_size} states"
+                         f" = {arena.n_vertices * max_size}, limit 400")
     for size in range(1, max_size + 1):
         for flat in canonical_structures(size, g):
             update = tuple(tuple(flat[m * g + c] for c in range(g))
@@ -646,7 +654,6 @@ def two_state_memory_min2(arena: Arena, n_colours: Optional[int] = None
     aut = parity_automaton(cond)
     product = product_with_parity(arena, aut)
     solution = solve_parity_game(product.game)
-    nq = aut.n_states
     region = {v for v in range(arena.n_vertices)
               if product.vertex(v, aut.initial) in solution.eve_region}
     if arena.initial not in region:

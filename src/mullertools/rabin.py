@@ -179,7 +179,8 @@ def _reachable_product(a1: Automaton, a2: Automaton, max_states: int):
             key = (p2, q2)
             if key not in index:
                 if len(index) >= max_states:
-                    raise ScaleGuard(f"product exceeds {max_states} states")
+                    raise ScaleGuard(f"product reached {len(index) + 1} states,"
+                                     f" limit {max_states}")
                 index[key] = len(index)
                 queue.append(key)
             edges.append((src, index[key], 1 << c1, 1 << c2))
@@ -273,7 +274,7 @@ def acceptance_to_condition(aut: Automaton) -> MullerCondition:
     output colours that actually occur on transitions."""
     used = aut.used_output_bits()
     if used.bit_count() > 14:
-        raise ScaleGuard("too many used output colours to expand explicitly")
+        raise ScaleGuard(f"{used.bit_count()} used output colours, limit 14")
     family = [bits for bits in submasks(used)
               if accepting_colour_set(aut.acceptance, bits)]
     alphabet_positions = list(bit_indices(used))

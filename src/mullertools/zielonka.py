@@ -39,7 +39,8 @@ class ZielonkaTree:
 def zielonka_tree(cond: MullerCondition) -> ZielonkaTree:
     """Build the alternating-subset tree of an explicit Muller condition."""
     if len(cond.alphabet) > 16:
-        raise ScaleGuard("tree construction enumerates subsets; alphabet limit is 16")
+        raise ScaleGuard(f"tree construction enumerates subsets; alphabet of"
+                         f" {len(cond.alphabet)} symbols, limit 16")
 
     def build(label: int, accepting: bool) -> ZielonkaTree:
         wanted = not accepting

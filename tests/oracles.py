@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 
 from mullertools.core import Automaton
+from mullertools.games import ParityGame
 
 
 def closed_walk_sets(n_nodes: int, edges, start: int) -> set[int]:
@@ -212,3 +213,26 @@ def strategy_wins(arena, cond, memory, moves) -> bool:
     return all(mask in cond.accepting
                for node in range(len(index))
                for mask in closed_walk_sets(len(index), edges, node))
+
+
+def full_parity_product(arena, aut: Automaton) -> ParityGame:
+    """Arena × parity automaton over every (vertex, state) pair, numbered
+    v * n_states + q.  A coloured edge moves the automaton and carries the
+    priority of its output; a silent edge keeps the state and carries the
+    least priority."""
+    nq = aut.n_states
+    letter = [aut.input_alphabet.symbols.index(sym) for sym in arena.colours.symbols]
+    priorities = aut.acceptance.priorities
+    edges = []
+    for v in range(arena.n_vertices):
+        for q in range(nq):
+            for src, dst, colour in arena.edges:
+                if src != v:
+                    continue
+                if colour is None:
+                    edges.append((v * nq + q, dst * nq + q, min(priorities)))
+                else:
+                    q2, out = aut.delta[q][letter[colour]]
+                    edges.append((v * nq + q, dst * nq + q2, priorities[out]))
+    eve = tuple(arena.eve[v] for v in range(arena.n_vertices) for _ in range(nq))
+    return ParityGame(eve, arena.initial * nq + aut.initial, tuple(edges))

@@ -269,8 +269,9 @@ def test_gen_validation(capsys):
     assert code2 == 2
     code3, _, _ = run(capsys, "gen", "clique-cond", "1")
     assert code3 == 2
-    code4, _, _ = run(capsys, "gen", "clique-cond", "40")
+    code4, _, err4 = run(capsys, "gen", "clique-cond", "40")
     assert code4 == 3
+    assert "size 40, limit 16" in err4
 
 
 def test_missing_file_is_exit_two(capsys):

@@ -19,7 +19,8 @@ from mullertools.games import (Arena, MemoryStructure, ParityGame,
 from mullertools.zielonka import general_memory, parity_automaton
 
 from generators import random_arena, random_condition, random_solvable_arena
-from oracles import positional_parity_winner, strategy_wins
+from oracles import (full_parity_product, positional_parity_winner,
+                     strategy_wins)
 
 AB = Alphabet(("a", "b"))
 
@@ -131,12 +132,55 @@ def test_parity_strategies_are_winning():
 
 
 def test_product_with_parity_shape():
-    arena = two_cycle_game(("a",), ("b",), AB)
+    # 0 -a-> 0, 0 -b-> 1, 1 -a-> 1; only the a-loop enters vertex 0, and
+    # reading a keeps the automaton in state 0, so (0, 1) is never built
+    arena = Arena(AB, (True, False), 0, ((0, 0, 0), (0, 1, 1), (1, 1, 0)))
     aut = parity_automaton(at_least_two_colours(AB))
+    assert aut.n_states == 2 and aut.initial == 0
+    assert aut.delta[0][0][0] == 0 and aut.delta[0][1][0] == 1
     product = product_with_parity(arena, aut)
-    assert len(product.game.eve) == arena.n_vertices * aut.n_states
-    assert len(product.game.edges) == len(arena.edges) * aut.n_states
+    # seeds first in vertex order, then breadth first
+    assert product.index == {(0, 0): 0, (1, 0): 1, (1, 1): 2}
+    assert product.vertex(0, 1) is None
+    assert product.game.eve == (True, False, False)
+    assert len(product.game.edges) == 4
     assert product.game.initial == product.vertex(arena.initial, aut.initial)
+
+
+def test_reachable_product_matches_full_product():
+    rng = random.Random(113)
+    winners = []
+    for _ in range(150):
+        arena = random_arena(rng, rng.randint(2, 6), 3, epsilon_free=False)
+        cond = random_condition(rng, 3)
+        aut = parity_automaton(cond)
+        nq, q0 = aut.n_states, aut.initial
+        product = product_with_parity(arena, aut)
+        full = full_parity_product(arena, aut)
+        # the built pairs are exactly those the full product reaches from
+        # the seeds, so the product holds every seed and is closed
+        reached = {v * nq + q0 for v in range(arena.n_vertices)}
+        frontier = list(reached)
+        while frontier:
+            node = frontier.pop()
+            for e in full.out_edges(node):
+                dst = full.edges[e][1]
+                if dst not in reached:
+                    reached.add(dst)
+                    frontier.append(dst)
+        assert set(product.index) == {divmod(node, nq) for node in reached}
+        assert len(product.game.eve) == len(product.index)
+        solution = solve_parity_game(product.game)
+        full_solution = solve_parity_game(full)
+        for v in range(arena.n_vertices):
+            assert ((product.vertex(v, q0) in solution.eve_region)
+                    == (v * nq + q0 in full_solution.eve_region))
+        winner, memory, table = solve_muller_game(arena, cond)
+        assert (winner == "eve") == (full.initial in full_solution.eve_region)
+        if winner == "eve":
+            assert verify_strategy(arena, cond, memory, table)
+        winners.append(winner)
+    assert 30 < winners.count("eve") < 120
 
 
 def test_product_requires_parity():
@@ -240,6 +284,20 @@ def test_verify_colour_guard_follows_component_order():
         verify_strategy(arena, MullerCondition(colours, everything), memory, table)
 
 
+def test_verify_config_guard_fires_while_building():
+    arena, cond = separation_game(), separation_condition()
+    memory, table = separation_chromatic_memory()
+    assert verify_strategy(arena, cond, memory, table, max_configs=14)
+    with pytest.raises(ScaleGuard, match="configuration graph reached 14 nodes, limit 13"):
+        verify_strategy(arena, cond, memory, table, max_configs=13)
+    # an empty table fails at the first colour-player vertex, which is only
+    # the second configuration found: a limit of one stops the search first
+    with pytest.raises(MalformedInput, match="no move"):
+        verify_strategy(arena, cond, memory, StrategyTable(()))
+    with pytest.raises(ScaleGuard, match="configuration graph reached 2 nodes, limit 1"):
+        verify_strategy(arena, cond, memory, StrategyTable(()), max_configs=1)
+
+
 def test_condition_families():
     cond = exactly_two_colours(("a", "b", "c"))
     assert cond.admits(0b011) and cond.admits(0b110)
@@ -289,10 +347,13 @@ def test_exhaustive_budget_below_one_is_refused():
 
 
 def test_exhaustive_scale_guard():
-    from mullertools.core import ScaleGuard
     arena = separation_game()
-    with pytest.raises(ScaleGuard):
+    with pytest.raises(ScaleGuard, match="10 vertices × 100 states = 1000, limit 400"):
         min_chromatic_memory_exhaustive(arena, separation_condition(), 100)
+    colours = Alphabet(tuple(f"c{i}" for i in range(9)))
+    nine = Arena(colours, (True,), 0, tuple((0, 0, c) for c in range(9)))
+    with pytest.raises(ScaleGuard, match="9 colours, limit 8"):
+        min_chromatic_memory_exhaustive(nine, at_least_two_colours(colours), 1)
 
 
 def test_two_state_memory_on_adam_mediated_arena():

@@ -135,7 +135,7 @@ def test_synthesized_pairs_agree_on_random_lassos():
 def test_synthesis_edge_guard():
     rng = random.Random(73)
     aut = random_muller_automaton(rng, 3, 2, 2)
-    with pytest.raises(ScaleGuard):
+    with pytest.raises(ScaleGuard, match="6 transitions exceed the 5-edge limit"):
         synthesize_rabin_pairs(aut, max_edges=5)
 
 
@@ -175,6 +175,16 @@ def test_muller_equivalent_scale_guard():
                           acceptance=MullerAcceptance(alpha_cond))
     with pytest.raises(ScaleGuard, match="left side uses 15 colours, limit 14"):
         muller_equivalent(aut, aut)
+    with pytest.raises(ScaleGuard, match="15 used output colours, limit 14"):
+        acceptance_to_condition(aut)
+
+
+def test_product_scale_guard():
+    # the product of a six-state automaton with itself reaches six states
+    aut = parity_automaton(exactly_two_colours("abc"))
+    assert muller_equivalent(aut, aut, max_states=6)
+    with pytest.raises(ScaleGuard, match="product reached 6 states, limit 5"):
+        muller_equivalent(aut, aut, max_states=5)
 
 
 def test_acceptance_to_condition_roundtrip():

@@ -178,7 +178,7 @@ def test_tree_json_roundtrip():
 def test_tree_rejects_oversized_alphabet():
     alpha = tuple(f"s{i}" for i in range(17))
     cond = MullerCondition.make(alpha, [alpha])
-    with pytest.raises(ScaleGuard):
+    with pytest.raises(ScaleGuard, match="alphabet of 17 symbols, limit 16"):
         zielonka_tree(cond)
 
 
