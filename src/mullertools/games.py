@@ -336,6 +336,8 @@ def solve_muller_game(arena: Arena, cond: MullerCondition):
     Returns (winner, memory, table) with memory and table set to None when
     the opponent wins.  The memory is chromatic: its states are the states of
     the parity automaton for the condition and it advances by reading colours.
+    The table lists a move only for the (vertex, memory state) pairs of the
+    colour player's winning region in the reachable product.
     """
     for sym in arena.colours.symbols:
         if sym not in cond.alphabet:
@@ -350,18 +352,10 @@ def solve_muller_game(arena: Arena, cond: MullerCondition):
     update = tuple(tuple(aut.delta[m][remap[c]][0] for c in range(len(arena.colours)))
                    for m in range(nq))
     memory = MemoryStructure("chromatic", nq, aut.initial, update)
-    moves: dict[tuple[int, int], int] = {}
-    for v in range(arena.n_vertices):
-        if not arena.eve[v]:
-            continue
-        for m in range(nq):
-            # pairs not built (None) or outside the winning region are never
-            # met by a play from the initial pair that follows this table
-            node = product.vertex(v, m)
-            if node in solution.eve_strategy:
-                moves[(v, m)] = product.edge_origin[solution.eve_strategy[node]]
-            else:
-                moves[(v, m)] = arena.out_edges(v)[0]
+    # a play from the initial pair that follows the solver's choices stays in
+    # the winning region, so the pairs outside it are never read
+    moves = {pair: product.edge_origin[solution.eve_strategy[node]]
+             for pair, node in product.index.items() if node in solution.eve_strategy}
     return "eve", memory, StrategyTable.from_dict(moves)
 
 
@@ -440,37 +434,99 @@ def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
     if arena.n_vertices * max_size > 400:
         raise ScaleGuard(f"{arena.n_vertices} vertices × {max_size} states"
                          f" = {arena.n_vertices * max_size}, limit 400")
+    rejecting = _rejecting_sets(arena, cond)
     for size in range(1, max_size + 1):
         for flat in canonical_structures(size, g):
             update = tuple(tuple(flat[m * g + c] for c in range(g))
                            for m in range(size))
             memory = MemoryStructure("chromatic", size, 0, update)
-            if _exists_winning_table(arena, cond, memory):
+            if _exists_winning_table(arena, memory, rejecting):
                 return size
     return None
 
 
-def _exists_winning_table(arena: Arena, cond: MullerCondition,
-                          memory: MemoryStructure) -> bool:
+def _rejecting_sets(arena: Arena, cond: MullerCondition) -> dict[int, list[int]]:
+    """Rejecting sets of arena colour positions (as bitsets) that a cycle
+    through an edge may produce, keyed by the edge's colour bit: the sets
+    holding that colour, and every rejecting set for a silent edge (key 0)."""
+    bit = [cond.alphabet.bit(sym) for sym in arena.colours.symbols]
+    g = len(bit)
+    rejecting = [colours for colours in range(1, 1 << g)
+                 if not cond.admits(sum(bit[c] for c in range(g) if colours >> c & 1))]
+    found = {1 << c: [colours for colours in rejecting if colours >> c & 1]
+             for c in range(g)}
+    found[0] = rejecting
+    return found
+
+
+def _edge_component(out: list[list[tuple[int, int]]], src: int, dst: int,
+                    forbidden: int, within: Optional[set[int]] = None
+                    ) -> tuple[set[int], int]:
+    """Strongly connected component of the edge src -> dst over the edges
+    whose colour bits avoid forbidden (silent edges always count), among the
+    nodes in within when given, and the colour bits inside it; (empty set, 0)
+    when the edge lies on no such cycle."""
+    reach = {dst}
+    stack = [dst]
+    pred: dict[int, list[int]] = {}
+    while stack:
+        u = stack.pop()
+        for w, bits in out[u]:
+            if bits & forbidden or (within is not None and w not in within):
+                continue
+            pred.setdefault(w, []).append(u)
+            if w not in reach:
+                reach.add(w)
+                stack.append(w)
+    if src not in reach:
+        return set(), 0
+    comp = {src}  # grows to the nodes of reach that reach src
+    stack = [src]
+    while stack:
+        for u in pred.get(stack.pop(), ()):
+            if u not in comp:
+                comp.add(u)
+                stack.append(u)
+    cover = 0
+    for u in comp:
+        for w, bits in out[u]:
+            if w in comp and not bits & forbidden:
+                cover |= bits
+    return comp, cover
+
+
+def _exists_winning_table(arena: Arena, memory: MemoryStructure,
+                          rejecting: dict[int, list[int]]) -> bool:
     """Depth-first search over strategy tables on reachable configurations.
 
     Configurations are discovered as choices are made; the opponent's moves
-    are expanded eagerly, the colour player's lazily.  After every choice the
-    partial graph is checked: a rejecting realizable colour set can only
-    survive further choices (edges are only ever added), so any violation
-    prunes the whole subtree.
+    are expanded eagerly, the colour player's lazily.  A rejecting cycle can
+    only survive further choices (edges are only ever added), so a choice
+    that closes one prunes the whole subtree.  The cycles a choice creates
+    are those using one of the edges it adds: the chosen edge and the
+    opponent's edges expanded behind it.  Each such edge is checked against
+    the rejecting sets (from _rejecting_sets) its colour can lie in: a cycle
+    through it produces exactly a set C when its component over the colours
+    of C has exactly those colours.
     """
     index: dict[tuple[int, int], int] = {}
     order: list[tuple[int, int]] = []  # discovery order, for undo
     eve_configs: list[tuple[int, int]] = []
-    edges: list[tuple[int, int, Optional[int]]] = []
+    out: list[list[tuple[int, int]]] = []  # per node: (successor, colour bit)
+    edges: list[tuple[int, int, int]] = []  # (src, dst, colour bit), in order
     assignment: dict[tuple[int, int], int] = {}
+
+    def add_edge(src: int, dst: int, colour: Optional[int]) -> None:
+        bits = 0 if colour is None else 1 << colour
+        out[src].append((dst, bits))
+        edges.append((src, dst, bits))
 
     def discover(cfg) -> None:
         if cfg in index:
             return
         index[cfg] = len(index)
         order.append(cfg)
+        out.append([])
         v, m = cfg
         if arena.eve[v]:
             eve_configs.append(cfg)
@@ -479,7 +535,17 @@ def _exists_winning_table(arena: Arena, cond: MullerCondition,
             _, dst, colour = arena.edges[e]
             nxt = (dst, memory.step(m, e, colour))
             discover(nxt)
-            edges.append((index[cfg], index[nxt], colour))
+            add_edge(index[cfg], index[nxt], colour)
+
+    def new_cycles_accepting(first_edge: int) -> bool:
+        for src, dst, bits in edges[first_edge:]:
+            comp, used = _edge_component(out, src, dst, 0)
+            for colours in rejecting[bits]:
+                if colours & ~used:
+                    continue
+                if _edge_component(out, src, dst, ~colours, comp)[1] == colours:
+                    return False
+        return True
 
     def explore(cursor: int) -> bool:
         while cursor < len(eve_configs) and eve_configs[cursor] in assignment:
@@ -494,20 +560,22 @@ def _exists_winning_table(arena: Arena, cond: MullerCondition,
             _, dst, colour = arena.edges[e]
             nxt = (dst, memory.step(m, e, colour))
             discover(nxt)
-            edges.append((index[cfg], index[nxt], colour))
+            add_edge(index[cfg], index[nxt], colour)
             assignment[cfg] = e
-            if _all_cycles_accepting(cond, arena, edges) and explore(cursor + 1):
+            if new_cycles_accepting(saved_edges) and explore(cursor + 1):
                 return True
             del assignment[cfg]
             for gone in order[saved_nodes:]:
                 del index[gone]
             del order[saved_nodes:]
             del eve_configs[saved_eve:]
+            del out[saved_nodes:]
+            out[index[cfg]].pop()  # the only new edge leaving an old node
             del edges[saved_edges:]
         return False
 
     discover((arena.initial, memory.initial))
-    if not _all_cycles_accepting(cond, arena, edges):
+    if not new_cycles_accepting(0):
         return False
     return explore(0)
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 from mullertools.core import Automaton
 from mullertools.games import ParityGame
@@ -236,3 +237,24 @@ def full_parity_product(arena, aut: Automaton) -> ParityGame:
                     edges.append((v * nq + q, dst * nq + q2, priorities[out]))
     eve = tuple(arena.eve[v] for v in range(arena.n_vertices) for _ in range(nq))
     return ParityGame(eve, arena.initial * nq + aut.initial, tuple(edges))
+
+
+def brute_min_chromatic_memory(arena, cond, max_size: int):
+    """Least number of colour-driven memory states with which some strategy
+    table wins, or None up to max_size: every first-reference update table
+    (initial state 0, silent edges keep the state) against every choice of
+    move at every (colour-player vertex, memory state), judged by
+    strategy_wins."""
+    g = len(arena.colours.symbols)
+    eve_vertices = [v for v in range(len(arena.eve)) if arena.eve[v]]
+    options = {v: [e for e, (src, _, _) in enumerate(arena.edges) if src == v]
+               for v in eve_vertices}
+    for size in range(1, max_size + 1):
+        pairs = [(v, m) for v in eve_vertices for m in range(size)]
+        for flat in first_reference_tables(size, g):
+            memory = SimpleNamespace(initial=0, update=[flat[m * g:(m + 1) * g]
+                                                        for m in range(size)])
+            for pick in itertools.product(*(options[v] for v, _ in pairs)):
+                if strategy_wins(arena, cond, memory, dict(zip(pairs, pick))):
+                    return size
+    return None

@@ -7,7 +7,8 @@ from mullertools.core import (Alphabet, MalformedInput, MullerCondition,
                               PreconditionViolation, PropertyViolation,
                               ScaleGuard)
 from mullertools.games import (Arena, MemoryStructure, ParityGame,
-                               StrategyTable, arena_from_json, arena_to_json,
+                               StrategyTable, _exists_winning_table,
+                               _rejecting_sets, arena_from_json, arena_to_json,
                                at_least_two_colours, exactly_two_colours,
                                min_chromatic_memory_exhaustive,
                                product_with_parity, separation_chromatic_memory,
@@ -19,8 +20,8 @@ from mullertools.games import (Arena, MemoryStructure, ParityGame,
 from mullertools.zielonka import general_memory, parity_automaton
 
 from generators import random_arena, random_condition, random_solvable_arena
-from oracles import (full_parity_product, positional_parity_winner,
-                     strategy_wins)
+from oracles import (brute_min_chromatic_memory, full_parity_product,
+                     positional_parity_winner, strategy_wins)
 
 AB = Alphabet(("a", "b"))
 
@@ -181,6 +182,27 @@ def test_reachable_product_matches_full_product():
             assert verify_strategy(arena, cond, memory, table)
         winners.append(winner)
     assert 30 < winners.count("eve") < 120
+
+
+def test_solve_table_lists_only_winning_pairs():
+    rng = random.Random(137)
+    wins = 0
+    for _ in range(60):
+        arena = random_arena(rng, rng.randint(2, 6), 3, epsilon_free=False)
+        cond = random_condition(rng, 3)
+        winner, memory, table = solve_muller_game(arena, cond)
+        if winner != "eve":
+            continue
+        wins += 1
+        product = product_with_parity(arena, parity_automaton(cond))
+        solution = solve_parity_game(product.game)
+        owned = {pair: node for pair, node in product.index.items()
+                 if product.game.eve[node] and node in solution.eve_region}
+        assert {(v, m) for v, m, _ in table.moves} == set(owned)
+        for (v, m), node in owned.items():
+            assert table.move(v, m) == product.edge_origin[solution.eve_strategy[node]]
+        assert verify_strategy(arena, cond, memory, table)
+    assert wins > 15
 
 
 def test_product_requires_parity():
@@ -354,6 +376,34 @@ def test_exhaustive_scale_guard():
     nine = Arena(colours, (True,), 0, tuple((0, 0, c) for c in range(9)))
     with pytest.raises(ScaleGuard, match="9 colours, limit 8"):
         min_chromatic_memory_exhaustive(nine, at_least_two_colours(colours), 1)
+
+
+def test_exhaustive_memory_matches_brute_force():
+    rng = random.Random(131)
+    answers = []
+    for _ in range(150):
+        g = rng.choice((2, 3))
+        arena = random_arena(rng, rng.randint(2, 4), g, epsilon_free=False)
+        cond = random_condition(rng, g)
+        if rng.random() < 0.5:  # single colours lose, so memory often pays
+            cond = MullerCondition(cond.alphabet, frozenset(
+                s for s in range(1, 1 << g)
+                if s.bit_count() >= 2 and (s in cond.accepting or rng.random() < 0.7)))
+        found = min_chromatic_memory_exhaustive(arena, cond, 2)
+        assert found == brute_min_chromatic_memory(arena, cond, 2)
+        answers.append(found)
+    assert answers.count(1) > 20 and answers.count(2) > 3 and answers.count(None) > 20
+
+
+def test_memory_search_sees_cycles_behind_the_choice():
+    # the colour player's only edge enters an opponent vertex whose self-loop
+    # produces b alone: the rejecting cycle avoids the chosen edge and is
+    # made only of the opponent's edge expanded behind it
+    arena = Arena(AB, (True, False), 0, ((0, 1, 0), (1, 1, 1)))
+    cond = MullerCondition(AB, frozenset({0b01, 0b11}))
+    memory = MemoryStructure("chromatic", 1, 0, ((0, 0),))
+    assert not _exists_winning_table(arena, memory, _rejecting_sets(arena, cond))
+    assert min_chromatic_memory_exhaustive(arena, cond, 2) is None
 
 
 def test_two_state_memory_on_adam_mediated_arena():
