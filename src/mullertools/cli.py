@@ -17,8 +17,8 @@ from .games import (arena_from_json, arena_to_json, at_least_two_colours,
 from .graphs import (chromatic_number, colouring_from_json, colouring_to_json,
                      colouring_to_rabin, edge_alternation_automaton,
                      graph_edge_condition, parse_dimacs, rabin_to_colouring)
-from .rabin import (check_rabin_typeable, min_rabin_size, muller_equivalent,
-                    rabin_equivalent, synthesize_rabin_pairs)
+from .rabin import (NotRabinTypeable, check_rabin_typeable, min_rabin_size,
+                    muller_equivalent, rabin_equivalent, synthesize_rabin_pairs)
 from .reduction import minimize_genbuchi, minimize_parity
 from .zielonka import (ascii_tree, memory_requirements, parity_automaton,
                        tree_to_json, zielonka_tree)
@@ -129,9 +129,7 @@ def _cmd_rabincheck(args) -> int:
     aut = automaton_from_json(_read_json(args.automaton))
     report = check_rabin_typeable(aut)
     if not report.typeable:
-        state = report.witness[0]
-        print(f"not typeable: state {state} rejects two cycle sets whose "
-              f"union is accepting", file=sys.stderr)
+        print(f"not typeable: {NotRabinTypeable(aut, report)}", file=sys.stderr)
         return EXIT_PROPERTY
     recoloured = synthesize_rabin_pairs(aut)
     _emit(args, automaton_to_json(recoloured), _summarise_automaton(recoloured))
@@ -272,9 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-size", type=int, default=None,
                         help="state budget for searches")
-    common.add_argument("--seed", type=int, default=0,
-                        help="random seed (accepted for compatibility; no "
-                             "subcommand draws random numbers)")
     common.add_argument("--format", choices=("json", "pretty"), default="json",
                         help="json: artifact on stdout, summary on stderr; "
                              "pretty: summary on stdout")

@@ -8,7 +8,7 @@ question reduces to questions about cycles and their colour sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 MAX_ALPHABET = 64
 
@@ -344,18 +344,6 @@ def build_automaton(*, initial: int,
                      tuple(tuple(row) for row in rows), acceptance)
 
 
-def normalise(aut: Automaton) -> Automaton:
-    """Renumber states in breadth-first discovery order and drop unreachable ones."""
-    transitions = {}
-    for q, a, target, colour in aut.edges():
-        transitions[(q, aut.input_alphabet.symbols[a])] = (
-            target, aut.output_alphabet.symbols[colour])
-    return build_automaton(initial=aut.initial, transitions=transitions,
-                           input_symbols=aut.input_alphabet,
-                           output_symbols=aut.output_alphabet,
-                           acceptance=aut.acceptance)
-
-
 def strongly_connected_components(
         vertices: Iterable[int],
         edges: Sequence[tuple],
@@ -466,6 +454,8 @@ def _cycle_covers(edges: Sequence[tuple[int, int, int]]
     top-level components come in order of smallest vertex, each with all
     covers inside it before the next, and a component comes before the
     covers inside it, so a consumer may stop at the first cover it rejects.
+    Rabin typeness does not need every cover: check_rabin_typeable walks
+    only the largest subcycles on alternating sides of the acceptance.
     """
     def split(edges, vertices, need):
         found = []
@@ -493,29 +483,9 @@ def _cycle_covers(edges: Sequence[tuple[int, int, int]]
         stack += reversed(children)
 
 
-def _realizable_sets_all(n_states: int,
-                         edges: Sequence[tuple[int, int, int]],
-                         *, guard_bits: int = 20) -> list[set[int]]:
-    """Colour bitsets realizable as cycles, per state.
-
-    edges are (src, dst, colour_bit) with colour_bit a single-bit bitset.  A
-    bitset C is realizable at a state when some strongly connected set of
-    edges through that state uses exactly the colours in C.
-    """
-    used = 0
-    for _, _, bit in edges:
-        used |= bit
-    if used.bit_count() > guard_bits:
-        raise ScaleGuard(f"{used.bit_count()} distinct colours, limit {guard_bits}")
-    result: list[set[int]] = [set() for _ in range(n_states)]
-    for comp, cover in _cycle_covers(edges):
-        for v in comp:
-            result[v].add(cover)
-    return result
-
-
 def realizable_cycle_sets(aut: Automaton, state: int, *, over: str = "output") -> frozenset[int]:
-    """All colour bitsets realizable as cycles through the given state.
+    """All colour bitsets realizable as cycles through the given state: the
+    colour sets of the strongly connected edge sets through it.
 
     over selects whether edge colours are taken from the output colouring
     (default) or from the input symbols.
@@ -524,11 +494,11 @@ def realizable_cycle_sets(aut: Automaton, state: int, *, over: str = "output") -
         raise MalformedInput("state out of range")
     if over not in ("output", "input"):
         raise MalformedInput("over must be 'output' or 'input'")
-    edges = []
-    for q, a, target, colour in aut.edges():
-        bit = 1 << (colour if over == "output" else a)
-        edges.append((q, target, bit))
-    return frozenset(_realizable_sets_all(aut.n_states, edges)[state])
+    edges = [(q, target, 1 << (colour if over == "output" else a))
+             for q, a, target, colour in aut.edges()]
+    if len(colours := {bit for _, _, bit in edges}) > 20:
+        raise ScaleGuard(f"{len(colours)} distinct colours, limit 20")
+    return frozenset(cover for comp, cover in _cycle_covers(edges) if state in comp)
 
 
 @dataclass(frozen=True)
@@ -575,12 +545,37 @@ def accepts_up_word(aut: Automaton, word: PeriodicWord) -> bool:
 
 def max_inclusion(family: Iterable[int]) -> list[int]:
     """Inclusion-maximal bitsets of a family, ascending, duplicates removed."""
-    items = sorted(set(family))
-    out = []
-    for i, s in enumerate(items):
-        if not any(t != s and s & t == s for t in items):
-            out.append(s)
-    return out
+    # largest first: a set inside another member lies inside a kept one
+    kept: list[int] = []
+    for s in sorted(set(family), key=int.bit_count, reverse=True):
+        if not any(s & ~t == 0 for t in kept):
+            kept.append(s)
+    return sorted(kept)
+
+
+def zielonka_children(label: int, accepts: Callable[[int], bool]) -> list[int]:
+    """Largest non-empty strict subsets of label on the other side of accepts
+    from label, ascending: label's children in the Zielonka tree.
+
+    Every set between such a child and label is on label's side, so each
+    child is met by descending from label through sets on its side, one bit
+    at a time (Emerson-Lei need bits, so no set is met twice).
+    """
+    side = accepts(label)
+    found, stack = [], [(label, 0)]
+    while stack:
+        bits, need = stack.pop()
+        free = bits & ~need
+        while free:
+            bit = free & -free
+            free ^= bit
+            sub = bits ^ bit
+            if sub and accepts(sub) != side:
+                found.append(sub)
+            elif sub:
+                stack.append((sub, need))
+            need |= bit
+    return max_inclusion(found)
 
 
 # ---------------------------------------------------------------------------

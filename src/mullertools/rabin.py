@@ -4,14 +4,16 @@ an explicit Muller condition Rabin-expressible."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial, reduce
+from operator import or_
 from typing import Iterator, Optional
 
 from .core import (Alphabet, Automaton, MalformedInput, MullerAcceptance,
                    MullerCondition, PreconditionViolation,
                    PropertyViolation, RabinAcceptance,
                    ScaleGuard, UnsupportedOperation, _cycle_covers,
-                   _realizable_sets_all, accepting_colour_set, bit_indices,
-                   strongly_connected_components, submasks)
+                   accepting_colour_set, bit_indices,
+                   strongly_connected_components, submasks, zielonka_children)
 
 
 @dataclass(frozen=True)
@@ -42,56 +44,67 @@ def check_rabin_typeable(aut: Automaton) -> RabinTypenessReport:
     the same transition structure.
 
     This holds exactly when rejecting realizable cycle sets are closed under
-    union at every state.  Unions of realizable sets through one state are
-    realizable, so a failing pair exists exactly when some colour set's union
-    of rejecting realizable subsets is accepting; that union is found for
-    every set at once by a subset-or sweep instead of comparing pairs.
+    union at every state, which is read off the alternating cycle
+    decomposition (Casares-Colcombet-Fijalkow 2021): the tree whose roots are
+    the strongly connected components and whose nodes have as children their
+    largest subcycles on the other side of the acceptance.  Two rejecting
+    children of an accepting node that share a state have an accepting
+    union, a larger subcycle; two rejecting cycles with an accepting union
+    lie in distinct rejecting children of the least node holding both.  So
+    the walk stops at the first accepting node whose children meet.
     """
     edges = [(q, target, 1 << colour) for q, _, target, colour in aut.edges()]
-    realizable = _realizable_sets_all(aut.n_states, edges)
-    used = 0
-    for _, _, bit in edges:
-        used |= bit
-    positions = list(bit_indices(used))
-    width = len(positions)
-    place = {bit_position: i for i, bit_position in enumerate(positions)}
+    used = aut.used_output_bits()
+    if used.bit_count() > 20:
+        raise ScaleGuard(f"{used.bit_count()} distinct colours, limit 20")
+    accepts = cache(partial(accepting_colour_set, aut.acceptance))
+    split = cache(lambda colours: zielonka_children(colours, accepts))
 
-    def compress(bits: int) -> int:
-        out = 0
-        for i in bit_indices(bits):
-            out |= 1 << place[i]
-        return out
+    def components(internal, within: int):
+        kept = [e for e in internal if not e[2] & ~within]
+        for comp, inner in strongly_connected_components(
+                {v for e in kept for v in e[:2]}, kept):
+            if inner:
+                yield sum(1 << v for v in comp), reduce(or_, (e[2] for e in inner)), inner
 
-    for state in range(aut.n_states):
-        rejecting = [bits for bits in realizable[state]
-                     if not accepting_colour_set(aut.acceptance, bits)]
-        covered = [0] * (1 << width)
-        for bits in rejecting:
-            covered[compress(bits)] = bits
-        for i in range(width):
-            step = 1 << i
-            for m in range(1 << width):
-                if m & step:
-                    covered[m] |= covered[m ^ step]
-        for m in range(1 << width):  # ascending, for a deterministic witness
-            union = covered[m]
-            if union and accepting_colour_set(aut.acceptance, union):
-                return RabinTypenessReport(
-                    False, _failing_pair(aut, state, union, rejecting))
+    def children(internal, cover: int) -> list[tuple[int, int, tuple]]:
+        """(states, cover, edges) of the node's largest subcycles on the other
+        side, by ascending cover.  Each lies in a Zielonka child of the
+        cover, inside a component of the edges coloured there, or if that
+        component is on the node's side, inside one of its own."""
+        side = accepts(cover)
+        found: dict[tuple[int, int], tuple] = {}
+        work = [(internal, cover)]
+        while work:
+            edges_in, colours = work.pop()
+            for label in split(colours):
+                for verts, sub, inner in components(edges_in, label):
+                    if (verts, sub) not in found:
+                        found[verts, sub] = inner
+                        if accepts(sub) == side:
+                            work.append((inner, sub))
+        # a subcycle holds all of the node's edges among its states with
+        # colours in its cover, so inclusion compares states and covers
+        other = sorted((sub, verts) for verts, sub in found if accepts(sub) != side)
+        return [(verts, sub, found[verts, sub]) for sub, verts in other
+                if not any((v, c) != (verts, sub) and not verts & ~v and not sub & ~c
+                           for c, v in other)]
+
+    stack = list(components(edges, used))[::-1]
+    seen = set()  # overlapping children of a rejecting node share nodes below
+    while stack:
+        verts, cover, internal = stack.pop()
+        if (verts, cover) in seen:
+            continue
+        seen.add((verts, cover))
+        kids = children(internal, cover)
+        for i, (first_verts, first, _) in enumerate(kids if accepts(cover) else ()):
+            for second_verts, second, _ in kids[i + 1:]:
+                if shared := first_verts & second_verts:
+                    state = (shared & -shared).bit_length() - 1
+                    return RabinTypenessReport(False, (state, first, second))
+        stack += reversed(kids)
     return RabinTypenessReport(True, None)
-
-
-def _failing_pair(aut: Automaton, state: int, union: int,
-                  rejecting: list[int]) -> tuple[int, int, int]:
-    # union is accepting and covered by its rejecting realizable subsets;
-    # grow a running union until one more part tips it over to accepting
-    parts = sorted(bits for bits in rejecting if bits & ~union == 0)
-    running = parts[0]
-    for bits in parts[1:]:
-        if accepting_colour_set(aut.acceptance, running | bits):
-            return (state, running, bits)
-        running |= bits
-    raise AssertionError("covered accepting set without a tipping pair")
 
 
 def synthesize_rabin_pairs(aut: Automaton, *, max_edges: int = 20) -> Automaton:
@@ -100,8 +113,10 @@ def synthesize_rabin_pairs(aut: Automaton, *, max_edges: int = 20) -> Automaton:
     The output keeps the transition structure and recolours every transition
     with its own name "state:input".  Each accepting cycle contributes one
     pair: the cycle's edges minus every rejecting cycle inside it, against
-    the complement of the cycle.  Raises NotRabinTypeable (with the witness)
-    when no Rabin acceptance exists on this structure.
+    the complement of the cycle.  The cycles are the edge sets that
+    _cycle_covers yields over edges labelled by their own bit.  Raises
+    NotRabinTypeable (with the witness) when no Rabin acceptance exists on
+    this structure.
     """
     report = check_rabin_typeable(aut)
     if not report.typeable:
@@ -113,39 +128,19 @@ def synthesize_rabin_pairs(aut: Automaton, *, max_edges: int = 20) -> Automaton:
                          " limit for cycle enumeration")
     edges = [(q, target, 1 << e) for e, (q, _, target, _) in enumerate(aut.edges())]
     colour_of = [1 << colour for _, _, _, colour in aut.edges()]
-    accepting_cycles: list[int] = []
-    is_rejecting_cycle = bytearray(1 << m)
+    cycles: dict[bool, list[int]] = {True: [], False: []}  # by verdict
     for _, cycle in _cycle_covers(edges):
-        colours = 0
-        for e in bit_indices(cycle):
-            colours |= colour_of[e]
-        if accepting_colour_set(aut.acceptance, colours):
-            accepting_cycles.append(cycle)
-        else:
-            is_rejecting_cycle[cycle] = 1
-    accepting_cycles.sort()
-    # union of rejecting cycles inside each edge subset, by subset recursion
-    union_inside = [0] * (1 << m)
-    for subset in range(1, 1 << m):
-        acc = subset if is_rejecting_cycle[subset] else 0
-        rest = subset
-        while rest:
-            low = rest & -rest
-            rest &= rest - 1
-            acc |= union_inside[subset ^ low]
-        union_inside[subset] = acc
+        colours = reduce(or_, (colour_of[e] for e in bit_indices(cycle)))
+        cycles[accepting_colour_set(aut.acceptance, colours)].append(cycle)
     all_edges = (1 << m) - 1
-    pairs: list[tuple[int, int]] = []
-    seen = set()
-    for cycle in accepting_cycles:
-        first = cycle & ~union_inside[cycle]
+    pairs: dict[tuple[int, int], None] = {}  # insertion-ordered set
+    for cycle in sorted(cycles[True]):
+        first = cycle & ~reduce(or_, (inner for inner in cycles[False]
+                                      if not inner & ~cycle), 0)
         if first == 0:
             raise PropertyViolation("accepting cycle fully covered by rejecting"
                                     " cycles despite a positive typeness check")
-        pair = (first, all_edges & ~cycle)
-        if pair not in seen:
-            seen.add(pair)
-            pairs.append(pair)
+        pairs[first, all_edges & ~cycle] = None
     out_symbols = tuple(f"{q}:{sym}" for q in range(aut.n_states)
                         for sym in aut.input_alphabet.symbols)
     rows = tuple(tuple((aut.delta[q][a][0], q * width + a) for a in range(width))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
-                   ParityAcceptance, ScaleGuard, max_inclusion, submasks)
+                   ParityAcceptance, ScaleGuard, zielonka_children)
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,12 @@ def zielonka_tree(cond: MullerCondition) -> ZielonkaTree:
         raise ScaleGuard(f"tree construction enumerates subsets; alphabet of"
                          f" {len(cond.alphabet)} symbols, limit 16")
 
+    labels: dict[int, list[int]] = {}  # a label recurs under many parents
+
     def build(label: int, accepting: bool) -> ZielonkaTree:
-        wanted = not accepting
-        candidates = [sub for sub in submasks(label)
-                      if sub != label and (sub in cond.accepting) == wanted]
-        children = tuple(build(sub, wanted) for sub in max_inclusion(candidates))
+        if label not in labels:
+            labels[label] = zielonka_children(label, cond.accepting.__contains__)
+        children = tuple(build(sub, not accepting) for sub in labels[label])
         return ZielonkaTree(cond.alphabet, label, accepting, children)
 
     full = cond.alphabet.full_mask

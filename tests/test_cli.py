@@ -5,8 +5,9 @@ import pytest
 
 from mullertools import cli
 from mullertools.cli import main
-from mullertools.core import (GenBuchiAcceptance, MullerCondition,
-                              ParityAcceptance, automaton_to_json,
+from mullertools.core import (GenBuchiAcceptance, MullerAcceptance,
+                              MullerCondition, ParityAcceptance,
+                              automaton_to_json, build_automaton,
                               condition_to_json)
 from mullertools.games import (arena_to_json, separation_condition,
                                separation_game, strategy_to_json,
@@ -320,3 +321,22 @@ def test_threads_flag(capsys, cond_file):
                        "--threads", "2")
     assert code == 0
     assert json.loads(out)["chromatic_memory"] == 2
+
+
+def test_rabincheck_names_the_witness_sets(capsys, tmp_path):
+    cond = MullerCondition.make(("1", "2", "3"), [("1", "2"), ("1", "3"), ("2", "3")])
+    aut = build_automaton(initial=0, transitions={(0, s): (0, s) for s in "123"},
+                          input_symbols="123", output_symbols="123",
+                          acceptance=MullerAcceptance(cond))
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps(automaton_to_json(aut)))
+    code, _, err = run(capsys, "rabincheck", str(path))
+    assert code == 1
+    assert err.strip() == ("not typeable: state 0 carries rejecting cycles over"
+                           " ['1'] and ['2'] whose union is accepting")
+
+
+def test_seed_option_is_gone(capsys, cond_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["mem", cond_file, "--seed", "3"])
+    assert exc.value.code == 2

@@ -16,7 +16,8 @@ from mullertools.core import (Alphabet, GenBuchiAcceptance, MalformedInput,
                               complement_condition, condition_from_json,
                               condition_to_json, dualise, max_inclusion,
                               realizable_cycle_sets,
-                              strongly_connected_components, submasks)
+                              strongly_connected_components, submasks,
+                              zielonka_children)
 
 from generators import random_condition, random_muller_automaton
 from oracles import automaton_cycle_sets, closed_walk_sets, quad_max_inclusion
@@ -275,3 +276,14 @@ def test_submasks_are_exactly_nonempty_subsets(mask):
 def test_max_inclusion_property(family):
     chosen = max_inclusion(family)
     assert set(chosen) == quad_max_inclusion(family)
+
+
+@given(st.integers(min_value=1, max_value=63),
+       st.sets(st.integers(min_value=1, max_value=63), max_size=40))
+@settings(max_examples=100)
+def test_zielonka_children_are_the_largest_subsets_on_the_other_side(label, family):
+    side = label in family
+    other = [sub for sub in range(1, label) if sub & ~label == 0
+             and (sub in family) != side]
+    got = zielonka_children(label, family.__contains__)
+    assert got == sorted(quad_max_inclusion(other))

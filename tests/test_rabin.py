@@ -6,11 +6,12 @@ import time
 import pytest
 
 from mullertools.core import (Alphabet, Automaton, MullerAcceptance,
-                              MullerCondition, PeriodicWord,
+                              MullerCondition, ParityAcceptance, PeriodicWord,
                               PreconditionViolation, ScaleGuard,
                               accepting_colour_set, accepts_up_word,
                               bit_indices, build_automaton)
-from mullertools.rabin import (NotRabinTypeable, acceptance_to_condition,
+from mullertools.rabin import (NotRabinTypeable, RabinTypenessReport,
+                               acceptance_to_condition,
                                canonical_structures, check_rabin_typeable,
                                chromatic_memory, min_rabin_size,
                                muller_equivalent, rabin_equivalent,
@@ -19,10 +20,10 @@ from mullertools.games import exactly_two_colours
 from mullertools.graphs import SimpleGraph, graph_edge_condition
 from mullertools.zielonka import parity_automaton
 
-from generators import (inflate, random_condition, random_muller_automaton,
-                        random_rabin_automaton)
+from generators import (inflate, random_condition, random_genbuchi_automaton,
+                        random_muller_automaton, random_rabin_automaton)
 from oracles import (automaton_cycle_sets, brute_min_rabin_size,
-                     first_reference_tables, product_agrees)
+                     colour_set_wins, first_reference_tables, product_agrees)
 
 
 def echo_automaton(cond: MullerCondition) -> Automaton:
@@ -83,6 +84,72 @@ def test_typeness_report_against_cycle_oracle():
             assert not accepting_colour_set(aut.acceptance, first)
             assert not accepting_colour_set(aut.acceptance, second)
             assert accepting_colour_set(aut.acceptance, first | second)
+
+
+def _random_typeness_instance(rng: random.Random, family: int) -> Automaton:
+    n_states, n_in, n_out = rng.randint(1, 5), rng.choice((2, 3)), rng.choice((2, 3, 4, 5))
+    if family == 0:
+        return random_muller_automaton(rng, n_states, n_in, n_out)
+    if family == 1:
+        return random_rabin_automaton(rng, n_states, n_in, n_out, rng.randint(1, 3))
+    if family == 2:
+        return random_genbuchi_automaton(rng, n_states, n_in, n_out, rng.randint(1, 3))
+    tree_parity = inflate(parity_automaton(random_condition(rng, 3)), rng, 2)
+    if rng.random() < 0.5:
+        return tree_parity
+    # the same inflated structure under a random Muller family of its priorities
+    out = tree_parity.output_alphabet
+    family_bits = frozenset(b for b in range(1, 1 << len(out)) if rng.random() < 0.5)
+    return Automaton(tree_parity.n_states, tree_parity.initial,
+                     tree_parity.input_alphabet, out, tree_parity.delta,
+                     MullerAcceptance(MullerCondition(out, family_bits)))
+
+
+def test_typeness_matches_closed_walk_oracle():
+    # Muller, Rabin, generalised Buchi and inflated tree-parity automata
+    rng = random.Random(2105)
+    verdicts = {True: 0, False: 0}
+    for i in range(1200):
+        aut = _random_typeness_instance(rng, i % 4)
+        wins = lambda bits: colour_set_wins(aut.acceptance, bits)
+        want = True
+        for state in range(aut.n_states):
+            rejecting = [s for s in automaton_cycle_sets(aut, state) if not wins(s)]
+            if any(wins(x | y) for x in rejecting for y in rejecting):
+                want = False
+                break
+        report = check_rabin_typeable(aut)
+        assert report.typeable == want
+        verdicts[want] += 1
+        if not want:
+            state, first, second = report.witness
+            sets = automaton_cycle_sets(aut, state)
+            assert first in sets and second in sets
+            assert not wins(first) and not wins(second) and wins(first | second)
+    assert min(verdicts.values()) >= 100
+
+
+def test_untypeable_below_a_rejecting_root():
+    # state 0 loops on a and b and goes to state 1 on c, which returns on d;
+    # only {a, b} accepts, so the whole component rejects, its largest
+    # accepting subcycle is the pair of loops, and those two loops are
+    # rejecting cycles through state 0 with an accepting union
+    trans = {(0, "a"): (0, "a"), (0, "b"): (0, "b"), (0, "c"): (1, "c"),
+             (1, "a"): (0, "d"), (1, "b"): (0, "d"), (1, "c"): (0, "d")}
+    cond = MullerCondition.make("abcd", [("a", "b")])
+    aut = build_automaton(initial=0, transitions=trans, input_symbols="abc",
+                          output_symbols="abcd", acceptance=MullerAcceptance(cond))
+    assert not accepting_colour_set(aut.acceptance, 0b1111)
+    report = check_rabin_typeable(aut)
+    assert report == RabinTypenessReport(False, (0, 0b0001, 0b0010))
+
+
+def test_one_state_parity_chain_of_14_letters_is_typeable():
+    letters = tuple(f"p{i}" for i in range(14))
+    aut = build_automaton(initial=0, transitions={(0, a): (0, a) for a in letters},
+                          input_symbols=letters, output_symbols=letters,
+                          acceptance=ParityAcceptance(tuple(range(14))))
+    assert check_rabin_typeable(aut).typeable
 
 
 def _lasso_equal(a, b, max_period=4):
