@@ -143,9 +143,6 @@ class MullerCondition:
             raise MalformedInput("colour set uses symbols outside the alphabet")
         return bits in self.accepting
 
-    def sets_as_names(self) -> list[tuple[str, ...]]:
-        return [self.alphabet.names(bits) for bits in sorted(self.accepting)]
-
 
 def complement_condition(cond: MullerCondition) -> MullerCondition:
     """Family complement over the non-empty subsets of the alphabet."""

@@ -3,6 +3,7 @@ synthesis and verification, and searches for small memory structures."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
@@ -158,7 +159,7 @@ class ParityGame:
 
 @dataclass(frozen=True)
 class ParitySolution:
-    """Winning regions and positional strategies, per original vertex."""
+    """Winning regions and positional strategies, per vertex."""
 
     eve_region: frozenset[int]
     adam_region: frozenset[int]
@@ -166,109 +167,110 @@ class ParitySolution:
     adam_strategy: dict[int, int]
 
 
-def _attract(player: int, owner_is_player: list[bool], succ: list[list[int]],
-             pred: list[list[int]], targets: set[int], active: set[int]):
-    """Player's attractor to targets within active, with a choice map for the
-    player's vertices pulled in along the way."""
-    attr = set(targets)
-    strat: dict[int, int] = {}
-    counter: dict[int, int] = {}
-    queue = sorted(targets)
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for u in pred[v]:
-            if u not in active or u in attr:
-                continue
-            if owner_is_player[u]:
-                attr.add(u)
-                strat[u] = v
-                queue.append(u)
-            else:
-                if u not in counter:
-                    counter[u] = sum(1 for w in succ[u] if w in active)
-                counter[u] -= 1
-                if counter[u] == 0:
-                    attr.add(u)
-                    queue.append(u)
-    return attr, strat
-
-
-def _solve_max_even(owner_eve: list[bool], succ: list[list[int]],
-                    priority: list[int]):
-    """Recursive attractor decomposition for vertex-priority games.
-
-    Returns per-node winner regions and, for each player, a successor choice
-    on every node they own and win.
-    """
-    n = len(owner_eve)
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for w in succ[v]:
-            pred[w].append(v)
-    for v in range(n):
-        pred[v] = sorted(set(pred[v]))
-
-    owners = [owner_eve, [not o for o in owner_eve]]
-
-    def solve(active: set[int]):
-        if not active:
-            return set(), set(), {}, {}
-        top = max(priority[v] for v in active)
-        j = 0 if top % 2 == 0 else 1
-        targets = {v for v in active if priority[v] == top}
-        attr, attr_strat = _attract(j, owners[j], succ, pred, targets, active)
-        w0, w1, s0, s1 = solve(active - attr)
-        opponent = w1 if j == 0 else w0
-        if not opponent:
-            mine = dict(s0 if j == 0 else s1)
-            mine.update(attr_strat)
-            for v in sorted(targets):
-                if owners[j][v] and v not in mine:
-                    mine[v] = min(w for w in succ[v] if w in active)
-            if j == 0:
-                return set(active), set(), mine, {}
-            return set(), set(active), {}, mine
-        other = 1 - j
-        block, block_strat = _attract(other, owners[other], succ, pred,
-                                      opponent, active)
-        w0b, w1b, s0b, s1b = solve(active - block)
-        theirs = dict(s1 if j == 0 else s0)
-        theirs = {v: theirs[v] for v in theirs if v in opponent}
-        theirs.update(block_strat)
-        if j == 0:
-            theirs.update(s1b)
-            return w0b, w1b | block, s0b, theirs
-        theirs.update(s0b)
-        return w0b | block, w1b, theirs, s1b
-
-    return solve(set(range(n)))
-
-
 def solve_parity_game(game: ParityGame) -> ParitySolution:
     """Winning regions and positional strategies of an edge-priority game.
 
-    Each edge is subdivided through a node carrying the edge's priority while
-    original vertices carry the global minimum (so they never decide a
-    cycle's maximum), reducing to the classic vertex-priority recursion.
+    Zielonka's attractor decomposition (Zielonka 1998; McNaughton 1993) on
+    the game's own vertices, with a work stack in place of recursion, so
+    deep games do not meet Python's recursion limit.  A subgame is a vertex
+    set with a bound on the priorities: its edges are those with both ends
+    in the set and a priority at most the bound.  Each subgame takes its top
+    priority from per-priority edge buckets (priorities no edge carries cost
+    nothing), attracts that priority's player to its edges, solves the rest
+    under a lower bound and, when the opponent wins some of the rest, solves
+    again without the opponent's attractor to that part.
     """
     n = len(game.eve)
-    m = len(game.edges)
-    lowest = min(priority for _, _, priority in game.edges)
-    owner_eve = [bool(game.eve[v]) for v in range(n)] + [False] * m
-    priority = [lowest] * n + [priority for _, _, priority in game.edges]
-    succ: list[list[int]] = [[] for _ in range(n + m)]
-    for v in range(n):
-        succ[v] = [n + e for e in game.out_edges(v)]
-    for e, (_, dst, _) in enumerate(game.edges):
-        succ[n + e] = [dst]
-    w0, w1, s0, s1 = _solve_max_even(owner_eve, succ, priority)
-    eve_region = frozenset(v for v in range(n) if v in w0)
-    adam_region = frozenset(v for v in range(n) if v in w1)
-    eve_strategy = {v: s0[v] - n for v in s0 if v < n}
-    adam_strategy = {v: s1[v] - n for v in s1 if v < n}
-    return ParitySolution(eve_region, adam_region, eve_strategy, adam_strategy)
+    owner = [0 if eve else 1 for eve in game.eve]
+    out = [game.out_edges(v) for v in range(n)]
+    src, dst, priority = zip(*game.edges)
+    used = sorted(set(priority))
+    rank = {p: r for r, p in enumerate(used)}
+    level = [rank[p] for p in priority]  # priorities by rank
+    bucket: list[list[int]] = [[] for _ in used]
+    into: list[list[int]] = [[] for _ in range(n)]
+    for e, r in enumerate(level):
+        bucket[r].append(e)
+        into[dst[e]].append(e)
+
+    def attract(player: int, rest: set[int], attr: set[int], top: int,
+                seeds: list[int], below: int) -> dict[int, int]:
+        """Grow attr, inside the subgame on rest | attr with priority ranks
+        up to top, by the player's attractor: each seed edge in turn, then
+        the edges of rank under below into each vertex as it joins.  Every
+        edge counts once towards its source.  Returns the edge chosen by
+        each vertex of the player that joins."""
+        choice: dict[int, int] = {}
+        left: dict[int, int] = {}  # subgame edges of an opponent vertex not yet counted
+        joined: list[int] = []
+        behind = (e for w in joined for e in into[w] if level[e] < below)
+        for e in chain(seeds, behind):  # joined grows while behind reads it
+            u = src[e]
+            if u not in rest or u in attr:
+                continue
+            if owner[u] == player:
+                choice[u] = e
+            else:
+                if u not in left:
+                    left[u] = sum(1 for f in out[u] if level[f] <= top
+                                  and (dst[f] in rest or dst[f] in attr))
+                left[u] -= 1
+                if left[u]:
+                    continue
+            attr.add(u)
+            joined.append(u)
+        return choice
+
+    # ("solve", vertices, bound) leaves ([eve region, adam region], [eve
+    # choices, adam choices]) in result; "split" and "join" resume a solve
+    # after its first and second subgame, and may reuse result's contents.
+    work: list[tuple] = [("solve", set(range(n)), len(used) - 1)]
+    while work:
+        item = work.pop()
+        if item[0] == "solve":
+            _, vertices, bound = item
+            if not vertices:
+                result = ([vertices, set()], [{}, {}])
+                continue
+            top, seeds = bound + 1, []
+            while not seeds:
+                top -= 1
+                seeds = [e for e in bucket[top] if src[e] in vertices and dst[e] in vertices]
+            j = used[top] % 2
+            attr: set[int] = set()
+            choice = attract(j, vertices, attr, top, seeds, top)
+            vertices -= attr
+            work.append(("split", bound, top, j, attr, choice))
+            work.append(("solve", vertices, top - 1))
+        elif item[0] == "split":
+            _, bound, top, j, attr, choice = item
+            regions, choices = result
+            mine, opponent = regions[j], regions[1 - j]
+            mine |= attr
+            if not opponent:
+                choices[j].update(choice)
+                continue
+            # the opponent's attractor to its part, seeded with the edges into
+            # it: those below the top by edge id, then the top ones by target
+            # vertex.  That is the order of the attractor on the game with
+            # each edge subdivided through a node, and it fixes the choices.
+            lower = sorted(e for u in mine for e in out[u]
+                           if level[e] < top and dst[e] in opponent)
+            upper = sorted((e for e in bucket[top] if dst[e] in opponent and src[e] in mine),
+                           key=dst.__getitem__)
+            theirs = choices[1 - j]
+            theirs.update(attract(1 - j, mine, opponent, top, lower + upper, top + 1))
+            mine -= opponent
+            work.append(("join", j, opponent, theirs))
+            work.append(("solve", mine, bound))
+        else:
+            _, j, block, theirs = item
+            regions, choices = result
+            block |= regions[1 - j]
+            theirs.update(choices[1 - j])
+            regions[1 - j], choices[1 - j] = block, theirs
+    regions, choices = result
+    return ParitySolution(frozenset(regions[0]), frozenset(regions[1]), *choices)
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,15 @@ class ZielonkaTree:
         return self.alphabet.names(self.label)
 
 
-def zielonka_tree(cond: MullerCondition) -> ZielonkaTree:
-    """Build the alternating-subset tree of an explicit Muller condition."""
+def _check_alphabet(cond: MullerCondition) -> None:
     if len(cond.alphabet) > 16:
         raise ScaleGuard(f"tree construction enumerates subsets; alphabet of"
                          f" {len(cond.alphabet)} symbols, limit 16")
 
+
+def zielonka_tree(cond: MullerCondition) -> ZielonkaTree:
+    """Build the alternating-subset tree of an explicit Muller condition."""
+    _check_alphabet(cond)
     labels: dict[int, list[int]] = {}  # a label recurs under many parents
 
     def build(label: int, accepting: bool) -> ZielonkaTree:
@@ -54,28 +57,13 @@ def zielonka_tree(cond: MullerCondition) -> ZielonkaTree:
     return build(full, full in cond.accepting)
 
 
-def general_memory_of_tree(tree: ZielonkaTree) -> int:
-    """Memory bound read off the tree: leaves count one, rejecting nodes take
-    the maximum over their children, accepting nodes take the sum."""
-    if not tree.children:
-        return 1
-    parts = [general_memory_of_tree(child) for child in tree.children]
-    return sum(parts) if tree.accepting else max(parts)
-
-
 def general_memory(cond: MullerCondition) -> int:
-    return general_memory_of_tree(zielonka_tree(cond))
-
-
-def _every_accepting_node_has_at_most_one_child(tree: ZielonkaTree) -> bool:
-    if tree.accepting and len(tree.children) > 1:
-        return False
-    return all(_every_accepting_node_has_at_most_one_child(c) for c in tree.children)
+    return memory_requirements(cond).general_memory
 
 
 def is_half_positional(cond: MullerCondition) -> bool:
     """True when one memory state suffices, i.e. no accepting node branches."""
-    return _every_accepting_node_has_at_most_one_child(zielonka_tree(cond))
+    return memory_requirements(cond).half_positional
 
 
 def is_genbuchi_recognizable(cond: MullerCondition) -> bool:
@@ -84,17 +72,13 @@ def is_genbuchi_recognizable(cond: MullerCondition) -> bool:
     Holds exactly when the tree has height at most two and, if the height is
     two, the root is accepting.
     """
-    tree = zielonka_tree(cond)
-    h = tree.height()
-    if h > 2:
-        return False
-    return h == 1 or tree.accepting
+    return memory_requirements(cond).genbuchi_recognizable
 
 
 def priorities_used(cond: MullerCondition) -> tuple[int, bool]:
     """(number of distinct priorities, whether the top priority is even)."""
-    tree = zielonka_tree(cond)
-    return tree.height(), tree.accepting
+    req = memory_requirements(cond)
+    return req.priorities_used, req.top_priority_even
 
 
 @dataclass(frozen=True)
@@ -107,34 +91,52 @@ class MemoryRequirements:
 
 
 def memory_requirements(cond: MullerCondition) -> MemoryRequirements:
-    tree = zielonka_tree(cond)
+    """Numbers read off the condition's tree, without building it.
+
+    A node is accepting exactly when its label is, and its children depend
+    only on its label, so each distinct label is worked out once, though it
+    recurs under many parents.  General memory counts one at a leaf, the sum
+    over the children at an accepting node and their maximum at a rejecting
+    one.  The tree's height is the number of priorities.
+    """
+    _check_alphabet(cond)
+    memo: dict[int, tuple[int, int, bool]] = {}  # label: memory, height, no branching
+
+    def numbers(label: int) -> tuple[int, int, bool]:
+        if label not in memo:
+            accepting = label in cond.accepting
+            below = [numbers(sub) for sub in
+                     zielonka_children(label, cond.accepting.__contains__)]
+            memo[label] = (1, 1, True) if not below else (
+                (sum if accepting else max)(memory for memory, _, _ in below),
+                1 + max(height for _, height, _ in below),
+                (not accepting or len(below) == 1) and all(flat for _, _, flat in below))
+        return memo[label]
+
+    memory, height, flat = numbers(cond.alphabet.full_mask)
+    accepting = cond.alphabet.full_mask in cond.accepting
     return MemoryRequirements(
-        general_memory=general_memory_of_tree(tree),
-        half_positional=_every_accepting_node_has_at_most_one_child(tree),
-        genbuchi_recognizable=tree.height() == 1 or (tree.height() == 2 and tree.accepting),
-        priorities_used=tree.height(),
-        top_priority_even=tree.accepting,
+        general_memory=memory,
+        half_positional=flat,
+        genbuchi_recognizable=height == 1 or (height == 2 and accepting),
+        priorities_used=height,
+        top_priority_even=accepting,
     )
 
 
 def _collect_leaves(tree: ZielonkaTree, path: list[ZielonkaTree],
-                    leaves: list[tuple[ZielonkaTree, tuple[ZielonkaTree, ...]]]) -> None:
+                    leaves: list[tuple[ZielonkaTree, tuple[ZielonkaTree, ...]]],
+                    first_leaf: dict[int, int]) -> None:
+    """Leaves in depth-first order with their root paths, and the index of
+    the first leaf below each node (keyed by node id)."""
+    first_leaf[id(tree)] = len(leaves)
     path.append(tree)
     if not tree.children:
         leaves.append((tree, tuple(path)))
     else:
         for child in tree.children:
-            _collect_leaves(child, path, leaves)
+            _collect_leaves(child, path, leaves, first_leaf)
     path.pop()
-
-
-def _first_leaf_index(tree: ZielonkaTree, first_leaf: dict[int, int], counter: list[int]) -> None:
-    first_leaf[id(tree)] = counter[0]
-    if not tree.children:
-        counter[0] += 1
-        return
-    for child in tree.children:
-        _first_leaf_index(child, first_leaf, counter)
 
 
 def parity_automaton_from_tree(tree: ZielonkaTree) -> Automaton:
@@ -149,9 +151,8 @@ def parity_automaton_from_tree(tree: ZielonkaTree) -> Automaton:
     if tree.label != tree.alphabet.full_mask:
         raise MalformedInput("tree root must be labelled by the whole alphabet")
     leaves: list[tuple[ZielonkaTree, tuple[ZielonkaTree, ...]]] = []
-    _collect_leaves(tree, [], leaves)
     first_leaf: dict[int, int] = {}
-    _first_leaf_index(tree, first_leaf, [0])
+    _collect_leaves(tree, [], leaves, first_leaf)
     height = tree.height()
     base = (height - 1) % 2 if tree.accepting else height % 2
     # priority of a node at depth d is (height - 1 - d) + base

@@ -101,6 +101,46 @@ def positional_parity_winner(eve, edges, out_edges, start) -> bool:
     return False
 
 
+def parity_strategy_wins(eve, edges, region, strategy, player: int) -> bool:
+    """Whether a positional strategy ({vertex: edge id}) wins every play
+    from region for player (0 for the first player, who wants the top
+    recurring priority even): the player has a move at each of her region
+    vertices, every move left open stays in region, and every cycle of what
+    is left has a top priority of the player's parity.  A cycle whose top
+    edge e has the wrong parity exists exactly when e's target reaches e's
+    source over edges of priority at most e's."""
+    mine = 0 if player == 0 else 1
+    for v in region:
+        if (0 if eve[v] else 1) == mine and (
+                v not in strategy or edges[strategy[v]][0] != v):
+            return False
+    kept = []
+    for e, (src, dst, priority) in enumerate(edges):
+        if src not in region:
+            continue
+        if (0 if eve[src] else 1) == mine and strategy[src] != e:
+            continue
+        if dst not in region:
+            return False
+        kept.append((src, dst, priority))
+    adj = {v: [] for v in region}
+    for src, dst, priority in kept:
+        adj[src].append((dst, priority))
+    for src, dst, priority in kept:
+        if priority % 2 == player:
+            continue
+        seen, frontier = {dst}, [dst]
+        while frontier:
+            v = frontier.pop()
+            if v == src:
+                return False
+            for w, p in adj[v]:
+                if p <= priority and w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+    return True
+
+
 def first_reference_tables(k: int, g: int) -> list[tuple[int, ...]]:
     """Every flat k-state, g-letter table (row-major) whose states are all
     reachable from state 0 and numbered in order of first reference, found by

@@ -21,7 +21,8 @@ from mullertools.zielonka import general_memory, parity_automaton
 
 from generators import random_arena, random_condition, random_solvable_arena
 from oracles import (brute_min_chromatic_memory, full_parity_product,
-                     positional_parity_winner, strategy_wins)
+                     parity_strategy_wins, positional_parity_winner,
+                     strategy_wins)
 
 AB = Alphabet(("a", "b"))
 
@@ -89,20 +90,31 @@ def test_parity_game_validation():
         ParityGame((True,), 0, ((0, 0, -1),))
 
 
-def random_parity_game(rng):
-    n = rng.choice((2, 3, 4))
+def random_parity_game(rng, sizes=(2, 3, 4), priorities=4):
+    n = rng.choice(sizes)
     eve = tuple(rng.random() < 0.5 for _ in range(n))
     edges = []
     for v in range(n):
         for _ in range(rng.randrange(1, 3)):
-            edges.append((v, rng.randrange(n), rng.randrange(4)))
+            edges.append((v, rng.randrange(n), rng.randrange(priorities)))
     return ParityGame(eve, 0, tuple(edges))
+
+
+# Vertex 0 belongs to adam and has a top-priority edge into eve's attractor
+# (vertex 1, held by its own top loop) and an edge to vertex 2, from which
+# adam closes a cycle of top priority 3.  Counting that top edge once as a
+# seed and again when vertex 1 joins pulls vertex 0, then 2, into eve's
+# attractor, and eve would win everywhere.
+DOUBLE_COUNT_GAME = ParityGame((False, True, False), 0,
+                               ((1, 1, 4), (0, 1, 4), (0, 2, 0), (2, 0, 3)))
 
 
 def test_solve_parity_game_against_oracle():
     rng = random.Random(101)
-    for _ in range(120):
-        game = random_parity_game(rng)
+    games = [random_parity_game(rng) for _ in range(120)]
+    games += [random_parity_game(rng, range(5, 9), 8) for _ in range(100)]
+    games.append(DOUBLE_COUNT_GAME)
+    for game in games:
         solution = solve_parity_game(game)
         out_edges = [list(game.out_edges(v)) for v in range(len(game.eve))]
         for start in range(len(game.eve)):
@@ -111,6 +123,34 @@ def test_solve_parity_game_against_oracle():
             assert (start in solution.eve_region) == want
         assert solution.eve_region | solution.adam_region == set(range(len(game.eve)))
         assert not solution.eve_region & solution.adam_region
+        assert parity_strategy_wins(game.eve, game.edges, solution.eve_region,
+                                    solution.eve_strategy, 0)
+        assert parity_strategy_wins(game.eve, game.edges, solution.adam_region,
+                                    solution.adam_strategy, 1)
+    assert solve_parity_game(DOUBLE_COUNT_GAME).adam_region == {0, 2}
+
+
+def test_parity_solver_is_not_bounded_by_recursion_depth():
+    # vertex i has an edge of priority 0 to the next one and a self-loop of
+    # priority i + 1, and eve owns the even vertices, so each player's loops
+    # carry the other's parity: every play keeps moving and eve wins
+    # everywhere.  The decomposition removes one priority per level, far
+    # deeper than Python's recursion limit.
+    n = 1500
+    eve = tuple(i % 2 == 0 for i in range(n))
+    ring = tuple(edge for i in range(n) for edge in ((i, (i + 1) % n, 0), (i, i, i + 1)))
+    solution = solve_parity_game(ParityGame(eve, 0, ring))
+    assert solution.eve_region == set(range(n)) and not solution.adam_region
+    assert parity_strategy_wins(eve, ring, solution.eve_region, solution.eve_strategy, 0)
+    # an adam vertex off the ring with a loop of the top, odd priority and
+    # an edge into the ring: adam wins there by looping, and only there
+    eve += (False,)
+    edges = ring + ((n, n, 2 * n + 1), (n, 0, 0))
+    solution = solve_parity_game(ParityGame(eve, 0, edges))
+    assert solution.eve_region == set(range(n)) and solution.adam_region == {n}
+    assert parity_strategy_wins(eve, edges, solution.eve_region, solution.eve_strategy, 0)
+    assert parity_strategy_wins(eve, edges, solution.adam_region, solution.adam_strategy, 1)
+    assert solution.adam_strategy[n] == len(ring)
 
 
 def test_parity_strategies_are_winning():

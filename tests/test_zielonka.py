@@ -104,6 +104,31 @@ def test_memory_requirements_shape():
     assert not req.top_priority_even
 
 
+def test_memory_numbers_match_the_built_tree():
+    def memory(node):
+        if not node.children:
+            return 1
+        parts = [memory(child) for child in node.children]
+        return sum(parts) if node.accepting else max(parts)
+
+    def flat(node):
+        return ((not node.accepting or len(node.children) <= 1)
+                and all(flat(child) for child in node.children))
+
+    rng = random.Random(41)
+    for _ in range(240):
+        cond = random_condition(rng, rng.randint(1, 7))
+        tree = zielonka_tree(cond)
+        height = tree.height()
+        req = memory_requirements(cond)
+        assert req.general_memory == general_memory(cond) == memory(tree)
+        assert req.half_positional == is_half_positional(cond) == flat(tree)
+        assert (req.priorities_used, req.top_priority_even) == priorities_used(cond)
+        assert (height, tree.accepting) == priorities_used(cond)
+        assert req.genbuchi_recognizable == is_genbuchi_recognizable(cond)
+        assert req.genbuchi_recognizable == (height == 1 or height == 2 and tree.accepting)
+
+
 def test_parity_automaton_single_pair():
     cond = MullerCondition.make(("a", "b"), [("a", "b")])
     aut = parity_automaton(cond)
@@ -178,8 +203,9 @@ def test_tree_json_roundtrip():
 def test_tree_rejects_oversized_alphabet():
     alpha = tuple(f"s{i}" for i in range(17))
     cond = MullerCondition.make(alpha, [alpha])
-    with pytest.raises(ScaleGuard, match="alphabet of 17 symbols, limit 16"):
-        zielonka_tree(cond)
+    for build in (zielonka_tree, memory_requirements):
+        with pytest.raises(ScaleGuard, match="alphabet of 17 symbols, limit 16"):
+            build(cond)
 
 
 def test_parity_automaton_from_tree_requires_full_root():
