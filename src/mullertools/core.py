@@ -168,7 +168,7 @@ class ParityAcceptance:
         if not self.priorities:
             raise MalformedInput("parity acceptance needs at least one priority")
         for p in self.priorities:
-            if not isinstance(p, int) or p < 0:
+            if isinstance(p, bool) or not isinstance(p, int) or p < 0:
                 raise MalformedInput(f"priority {p!r} must be a non-negative integer")
 
 
@@ -322,8 +322,7 @@ def build_automaton(*, initial: int,
     order: dict[int, int] = {initial: 0}
     queue = [initial]
     rows: list[tuple[tuple[int, int], ...]] = []
-    while queue:
-        state = queue.pop(0)
+    for state in queue:  # queue grows as states are found
         row: list[tuple[int, int]] = []
         for sym in inp.symbols:
             try:
@@ -480,6 +479,42 @@ def _cycle_covers(edges: Sequence[tuple[int, int, int]]
         stack += reversed(children)
 
 
+def edge_component(out: list[list[tuple[int, int]]], src: int, dst: int,
+                    forbidden: int, within: set[int] | None = None
+                    ) -> tuple[set[int], int]:
+    """Strongly connected component of the edge src -> dst over the edges
+    whose colour bits avoid forbidden (silent edges always count), among the
+    nodes in within when given, and the colour bits inside it; (empty set, 0)
+    when the edge lies on no such cycle."""
+    reach = {dst}
+    stack = [dst]
+    pred: dict[int, list[int]] = {}
+    while stack:
+        u = stack.pop()
+        for w, bits in out[u]:
+            if bits & forbidden or (within is not None and w not in within):
+                continue
+            pred.setdefault(w, []).append(u)
+            if w not in reach:
+                reach.add(w)
+                stack.append(w)
+    if src not in reach:
+        return set(), 0
+    comp = {src}  # grows to the nodes of reach that reach src
+    stack = [src]
+    while stack:
+        for u in pred.get(stack.pop(), ()):
+            if u not in comp:
+                comp.add(u)
+                stack.append(u)
+    cover = 0
+    for u in comp:
+        for w, bits in out[u]:
+            if w in comp and not bits & forbidden:
+                cover |= bits
+    return comp, cover
+
+
 def realizable_cycle_sets(aut: Automaton, state: int, *, over: str = "output") -> frozenset[int]:
     """All colour bitsets realizable as cycles through the given state: the
     colour sets of the strongly connected edge sets through it.
@@ -629,7 +664,7 @@ def acceptance_from_json(data: object, output_alphabet: Alphabet) -> Acceptance:
         if not isinstance(prios, dict):
             raise MalformedInput("parity acceptance needs a 'priorities' object")
         try:
-            table = tuple(int(prios[sym]) for sym in output_alphabet.symbols)
+            table = tuple(prios[sym] for sym in output_alphabet.symbols)
         except KeyError as missing:
             raise MalformedInput(f"missing priority for symbol {missing}") from None
         return ParityAcceptance(table)

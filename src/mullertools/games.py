@@ -9,7 +9,7 @@ from typing import Optional
 from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
                    PreconditionViolation, PropertyViolation, ScaleGuard,
                    _cycle_covers, condition_from_json, condition_to_json,
-                   strongly_connected_components)
+                   edge_component, strongly_connected_components)
 from .rabin import canonical_structures
 from .zielonka import parity_automaton
 
@@ -461,42 +461,6 @@ def _rejecting_sets(arena: Arena, cond: MullerCondition) -> dict[int, list[int]]
     return found
 
 
-def _edge_component(out: list[list[tuple[int, int]]], src: int, dst: int,
-                    forbidden: int, within: Optional[set[int]] = None
-                    ) -> tuple[set[int], int]:
-    """Strongly connected component of the edge src -> dst over the edges
-    whose colour bits avoid forbidden (silent edges always count), among the
-    nodes in within when given, and the colour bits inside it; (empty set, 0)
-    when the edge lies on no such cycle."""
-    reach = {dst}
-    stack = [dst]
-    pred: dict[int, list[int]] = {}
-    while stack:
-        u = stack.pop()
-        for w, bits in out[u]:
-            if bits & forbidden or (within is not None and w not in within):
-                continue
-            pred.setdefault(w, []).append(u)
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-    if src not in reach:
-        return set(), 0
-    comp = {src}  # grows to the nodes of reach that reach src
-    stack = [src]
-    while stack:
-        for u in pred.get(stack.pop(), ()):
-            if u not in comp:
-                comp.add(u)
-                stack.append(u)
-    cover = 0
-    for u in comp:
-        for w, bits in out[u]:
-            if w in comp and not bits & forbidden:
-                cover |= bits
-    return comp, cover
-
-
 def _exists_winning_table(arena: Arena, memory: MemoryStructure,
                           rejecting: dict[int, list[int]]) -> bool:
     """Depth-first search over strategy tables on reachable configurations.
@@ -541,11 +505,11 @@ def _exists_winning_table(arena: Arena, memory: MemoryStructure,
 
     def new_cycles_accepting(first_edge: int) -> bool:
         for src, dst, bits in edges[first_edge:]:
-            comp, used = _edge_component(out, src, dst, 0)
+            comp, used = edge_component(out, src, dst, 0)
             for colours in rejecting[bits]:
                 if colours & ~used:
                     continue
-                if _edge_component(out, src, dst, ~colours, comp)[1] == colours:
+                if edge_component(out, src, dst, ~colours, comp)[1] == colours:
                     return False
         return True
 
@@ -891,6 +855,8 @@ def strategy_from_json(data: object, arena: Arena
         if field_name not in mem:
             raise MalformedInput(f"memory is missing field '{field_name}'")
     size = mem["states"]
+    if not isinstance(size, int) or not isinstance(mem["initial"], int):
+        raise MalformedInput("memory fields 'states' and 'initial' must be integers")
     kind = mem["kind"]
     if kind not in ("general", "chromatic"):
         raise MalformedInput("memory kind must be 'general' or 'chromatic'")

@@ -12,7 +12,7 @@ from .core import (Alphabet, Automaton, MalformedInput, MullerAcceptance,
                    MullerCondition, PreconditionViolation,
                    PropertyViolation, RabinAcceptance,
                    ScaleGuard, UnsupportedOperation, _cycle_covers,
-                   accepting_colour_set, bit_indices,
+                   accepting_colour_set, bit_indices, edge_component,
                    strongly_connected_components, submasks, zielonka_children)
 
 
@@ -165,9 +165,7 @@ def _reachable_product(a1: Automaton, a2: Automaton, max_states: int):
     index: dict[tuple[int, int], int] = {(a1.initial, a2.initial): 0}
     queue = [(a1.initial, a2.initial)]
     edges: list[tuple[int, int, int, int]] = []
-    while queue:
-        p, q = queue.pop(0)
-        src = index[(p, q)]
+    for src, (p, q) in enumerate(queue):  # queue grows as pairs are found
         for a in range(len(a1.input_alphabet)):
             p2, c1 = a1.delta[p][a]
             q2, c2 = a2.delta[q][remap[a]]
@@ -299,78 +297,45 @@ class _Typeness:
     """
 
     def __init__(self, k: int, g: int, acc: bytearray):
-        self.k, self.g, self.acc = k, g, acc
-        self.letters_of = [[a for a in range(g) if (c >> a) & 1] for c in range(1 << g)]
+        self.g, self.acc = g, acc
         self.rejecting_with = [[c for c in range(1 << g) if (c >> a) & 1 and not acc[c]]
                                for a in range(g)]
+        self.out: list[list[tuple[int, int]]] = [[] for _ in range(k)]  # (target, letter bit)
         self.sets: list[list[int]] = [[] for _ in range(k)]
         self.seen = bytearray(k << g)
         self.trail: list[tuple[int, int]] = []  # (state, set) in recording order
-        self.marks: list[int] = []  # trail length before each accepted cell
+        self.marks: list[tuple[int, int]] = []  # (trail length, row) of each accepted cell
 
     def add(self, flat: list[int], i: int) -> bool:
         """Record the edge in cell i (cells before it are filled); on a
         violation undo the cell's records and return False."""
         g, acc, sets, seen, trail = self.g, self.acc, self.sets, self.seen, self.trail
         q, a = divmod(i, g)
-        mark = len(trail)
+        self.out[q].append((flat[i], 1 << a))
+        self.marks.append((len(trail), q))
         # every cycle through the new edge lies in its component over all letters
-        within, used = self._cycle(flat, i, self.letters_of[-1], (2 << q) - 1)
+        within, used = edge_component(self.out, q, flat[i], 0)
         for colours in self.rejecting_with[a] if within else ():
             if colours & ~used:
                 continue
-            comp, cover = self._cycle(flat, i, self.letters_of[colours], within)
+            comp, cover = edge_component(self.out, q, flat[i], ~colours, within)
             if cover != colours:
                 continue
-            for u in bit_indices(comp):
+            for u in comp:
                 if seen[u << g | colours]:
                     continue
                 if any(acc[other | colours] for other in sets[u]):
-                    self.marks.append(mark)
                     self.undo()
                     return False
                 sets[u].append(colours)
                 seen[u << g | colours] = 1
                 trail.append((u, colours))
-        self.marks.append(mark)
         return True
 
-    def _cycle(self, flat: list[int], i: int, letters: list[int],
-               within: int) -> tuple[int, int]:
-        """Strongly connected component, among the states in within, of the
-        edge in cell i over the given letters, and the letters inside it;
-        (0, 0) when that edge lies on no cycle."""
-        g = self.g
-        q = i // g
-        adj = [0] * self.k
-        for u in bit_indices(within):
-            base = u * g
-            for b in letters:
-                if base + b <= i:
-                    adj[u] |= 1 << flat[base + b]
-        reach = frontier = 1 << flat[i]
-        while frontier:
-            step = 0
-            for u in bit_indices(frontier):
-                step |= adj[u]
-            frontier = step & ~reach
-            reach |= step
-        if not (reach >> q) & 1:
-            return 0, 0
-        comp = 1 << q  # grows to the states of reach that reach q
-        while more := sum(1 << u for u in bit_indices(reach & ~comp) if adj[u] & comp):
-            comp |= more
-        cover = 0
-        for u in bit_indices(comp):
-            base = u * g
-            for b in letters:
-                if base + b <= i and (comp >> flat[base + b]) & 1:
-                    cover |= 1 << b
-        return comp, cover
-
     def undo(self) -> None:
-        """Forget the records of the last accepted cell."""
-        mark = self.marks.pop()
+        """Forget the edge and the records of the last accepted cell."""
+        mark, q = self.marks.pop()
+        self.out[q].pop()
         while len(self.trail) > mark:
             u, colours = self.trail.pop()
             self.sets[u].pop()

@@ -36,6 +36,33 @@ def closed_walk_sets(n_nodes: int, edges, start: int) -> set[int]:
     return result
 
 
+def edge_walks(edges, src: int, dst: int, label: int, forbidden: int,
+               within=None) -> tuple[set[int], int]:
+    """Nodes and union of labels of the closed walks that start with the
+    edge src -> dst labelled label, use only edges whose label avoids
+    forbidden (silent edges always count) and stay on the nodes in within
+    when given.  Saturation over (node, labels so far, nodes so far) from the
+    far end of the edge, recording a walk each time it returns to src."""
+    allowed = [(u, w, bits) for u, w, bits in edges
+               if not bits & forbidden and (within is None or w in within)]
+    start = (dst, label, frozenset((src, dst)))
+    seen = {start}
+    frontier = [start]
+    nodes, cover = set(), 0
+    while frontier:
+        node, mask, visited = frontier.pop()
+        if node == src:
+            nodes |= visited
+            cover |= mask
+        for u, w, bits in allowed:
+            if u == node:
+                key = (w, mask | bits, visited | {w})
+                if key not in seen:
+                    seen.add(key)
+                    frontier.append(key)
+    return nodes, cover
+
+
 def automaton_cycle_sets(aut: Automaton, state: int, over: str = "output") -> set[int]:
     """Reference for realizable_cycle_sets, via closed walks."""
     edges = []

@@ -236,6 +236,34 @@ def test_verify_losing_strategy_exits_one(capsys, tmp_path):
     assert json.loads(out) == {"verified": False}
 
 
+@pytest.mark.parametrize("field_name", ["states", "initial"])
+def test_verify_refuses_non_integer_memory_field(capsys, tmp_path, field_name):
+    arena = separation_game()
+    game_path = tmp_path / "game.json"
+    game_path.write_text(json.dumps(arena_to_json(arena, separation_condition())))
+    data = strategy_to_json(*separation_chromatic_memory(), arena)
+    data["memory"][field_name] = str(data["memory"][field_name])
+    strategy_path = tmp_path / "strategy.json"
+    strategy_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(game_path), str(strategy_path))
+    assert (code, out) == (2, "")
+    assert "must be integers" in err
+
+
+def test_parity_priorities_must_be_integers(capsys, cond_file, tmp_path):
+    _, out, _ = run(capsys, "zt2parity", cond_file)
+    data = json.loads(out)
+    priorities = data["acceptance"]["priorities"]
+    symbol = next(iter(priorities))
+    path = tmp_path / "aut.json"
+    for bad in ("zero", 2.7, True):
+        priorities[symbol] = bad
+        path.write_text(json.dumps(data))
+        code, out2, err = run(capsys, "rabincheck", str(path))
+        assert (code, out2) == (2, ""), bad
+        assert "must be a non-negative integer" in err
+
+
 def test_solve_game_without_condition(capsys, tmp_path):
     arena = two_cycle_game(("a",), ("b",), ("a", "b"))
     game_path = tmp_path / "game.json"

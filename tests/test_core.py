@@ -14,13 +14,15 @@ from mullertools.core import (Alphabet, GenBuchiAcceptance, MalformedInput,
                               automaton_from_json, automaton_to_json,
                               bit_indices, build_automaton,
                               complement_condition, condition_from_json,
-                              condition_to_json, dualise, max_inclusion,
+                              condition_to_json, dualise, edge_component,
+                              max_inclusion,
                               realizable_cycle_sets,
                               strongly_connected_components, submasks,
                               zielonka_children)
 
 from generators import random_condition, random_muller_automaton
-from oracles import automaton_cycle_sets, closed_walk_sets, quad_max_inclusion
+from oracles import (automaton_cycle_sets, closed_walk_sets, edge_walks,
+                     quad_max_inclusion)
 
 
 def test_alphabet_basics():
@@ -190,6 +192,27 @@ def test_cycle_covers_match_walk_oracle():
         for v in range(n):
             covers = {cover for comp, cover in found if v in comp}
             assert covers == closed_walk_sets(n, edges, v)
+
+
+def test_edge_component_matches_walk_oracle():
+    rng = random.Random(171)
+    labels = (0, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110)  # silent, one and two bits
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        edges = [(rng.randrange(n), rng.randrange(n), rng.choice(labels))
+                 for _ in range(rng.randint(1, 9))]
+        out = [[] for _ in range(n)]
+        for src, dst, label in edges:
+            out[src].append((dst, label))
+        for src, dst, label in edges:
+            within = {v for v in range(n) if rng.random() < 0.5} | {src, dst}
+            # the searches forbid only colours the new edge's label avoids
+            for forbidden in (m for m in range(8) if not m & label):
+                comp, cover = edge_component(out, src, dst, forbidden)
+                assert (comp, cover) == edge_walks(edges, src, dst, label, forbidden)
+                assert edge_component(out, src, dst, ~(7 & ~forbidden)) == (comp, cover)
+                assert (edge_component(out, src, dst, forbidden, within)
+                        == edge_walks(edges, src, dst, label, forbidden, within))
 
 
 def test_realizable_sets_scale_guard():
