@@ -37,6 +37,12 @@ class PropertyViolation(MullerToolsError):
     """A required semantic property fails; carries a witness when available."""
 
 
+def is_integer(value: object) -> bool:
+    """True for an integer that is not a boolean: JSON true and false load as
+    Python bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def bit_indices(bits: int) -> Iterator[int]:
     """Yield the set bit positions of a bitset, ascending."""
     while bits:
@@ -168,7 +174,7 @@ class ParityAcceptance:
         if not self.priorities:
             raise MalformedInput("parity acceptance needs at least one priority")
         for p in self.priorities:
-            if isinstance(p, bool) or not isinstance(p, int) or p < 0:
+            if not is_integer(p) or p < 0:
                 raise MalformedInput(f"priority {p!r} must be a non-negative integer")
 
 
@@ -709,7 +715,7 @@ def automaton_from_json(data: object) -> Automaton:
             raise MalformedInput(f"automaton is missing field '{field_name}'")
     n = data["states"]
     initial = data["initial"]
-    if not isinstance(n, int) or not isinstance(initial, int):
+    if not is_integer(n) or not is_integer(initial):
         raise MalformedInput("fields 'states' and 'initial' must be integers")
     inp = Alphabet(tuple(data["input"]))
     out = Alphabet(tuple(data["output"]))
@@ -720,7 +726,7 @@ def automaton_from_json(data: object) -> Automaton:
         if not isinstance(entry, list) or len(entry) != 4:
             raise MalformedInput("each delta entry must be [state, input, next, output]")
         q, sym, target, colour = entry
-        if not isinstance(q, int) or not isinstance(target, int):
+        if not is_integer(q) or not is_integer(target):
             raise MalformedInput("delta states must be integers")
         if not 0 <= q < n or not 0 <= target < n:
             raise MalformedInput("delta state out of range")

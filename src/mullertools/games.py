@@ -9,7 +9,7 @@ from typing import Optional
 from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
                    PreconditionViolation, PropertyViolation, ScaleGuard,
                    _cycle_covers, condition_from_json, condition_to_json,
-                   edge_component, strongly_connected_components)
+                   edge_component, is_integer, strongly_connected_components)
 from .rabin import canonical_structures
 from .zielonka import parity_automaton
 
@@ -790,7 +790,8 @@ def arena_from_json(data: object) -> tuple[Arena, Optional[MullerCondition]]:
         raise MalformedInput("field 'vertices' must be a list")
     eve = []
     for i, entry in enumerate(vertices):
-        if not isinstance(entry, dict) or entry.get("id") != i:
+        if not (isinstance(entry, dict) and is_integer(entry.get("id"))
+                and entry["id"] == i):
             raise MalformedInput("vertex ids must be 0,1,... in order")
         owner = entry.get("owner")
         if owner not in ("eve", "adam"):
@@ -818,12 +819,12 @@ def arena_from_json(data: object) -> tuple[Arena, Optional[MullerCondition]]:
         if not isinstance(entry, dict):
             raise MalformedInput("each edge must be an object")
         src, dst = entry.get("from"), entry.get("to")
-        if not isinstance(src, int) or not isinstance(dst, int):
+        if not is_integer(src) or not is_integer(dst):
             raise MalformedInput("edge endpoints must be integers")
         colour = entry.get("colour")
         edges.append((src, dst,
                       None if colour is None else alphabet.position(colour)))
-    if not isinstance(data["initial"], int):
+    if not is_integer(data["initial"]):
         raise MalformedInput("field 'initial' must be an integer")
     return Arena(alphabet, tuple(eve), data["initial"], tuple(edges)), cond
 
@@ -855,7 +856,7 @@ def strategy_from_json(data: object, arena: Arena
         if field_name not in mem:
             raise MalformedInput(f"memory is missing field '{field_name}'")
     size = mem["states"]
-    if not isinstance(size, int) or not isinstance(mem["initial"], int):
+    if not is_integer(size) or not is_integer(mem["initial"]):
         raise MalformedInput("memory fields 'states' and 'initial' must be integers")
     kind = mem["kind"]
     if kind not in ("general", "chromatic"):
@@ -871,10 +872,10 @@ def strategy_from_json(data: object, arena: Arena
         if kind == "chromatic":
             column = arena.colours.position(key)
         else:
-            if not isinstance(key, int) or not 0 <= key < len(arena.edges):
+            if not is_integer(key) or not 0 <= key < len(arena.edges):
                 raise MalformedInput(f"update key {key!r} is not an edge id")
             column = key
-        if not (isinstance(m, int) and isinstance(m2, int)
+        if not (is_integer(m) and is_integer(m2)
                 and 0 <= m < size and 0 <= m2 < size):
             raise MalformedInput("update states out of range")
         if rows[m][column] is not None:
@@ -893,7 +894,7 @@ def strategy_from_json(data: object, arena: Arena
         if not isinstance(entry, dict):
             raise MalformedInput("each table entry must be an object")
         v, m, e = entry.get("vertex"), entry.get("mstate"), entry.get("edge")
-        if not all(isinstance(x, int) for x in (v, m, e)):
+        if not all(is_integer(x) for x in (v, m, e)):
             raise MalformedInput("table entries need integer vertex, mstate, edge")
         if (v, m) in moves:
             raise MalformedInput(f"duplicate table entry for vertex {v}, memory {m}")

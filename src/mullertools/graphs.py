@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .core import (Alphabet, Automaton, MalformedInput, MullerAcceptance,
                    MullerCondition, PropertyViolation, RabinAcceptance,
-                   ScaleGuard)
+                   ScaleGuard, is_integer)
 from .zielonka import ZielonkaTree, zielonka_tree
 
 MAX_VERTICES = 64
@@ -257,7 +257,7 @@ def _parse_colouring(graph: SimpleGraph, colouring: dict[int, int]) -> list[int]
         if v not in colouring:
             raise MalformedInput(f"vertex {v} has no colour")
         c = colouring[v]
-        if not isinstance(c, int) or c < 1:
+        if not is_integer(c) or c < 1:
             raise MalformedInput(f"colour of vertex {v} must be a positive integer")
         values.append(c)
     for u, v in graph.edges:
@@ -360,7 +360,7 @@ def colouring_from_json(data: object, graph: SimpleGraph) -> dict[int, int]:
         raise MalformedInput("assignment must list one colour per vertex")
     out = {}
     for i, c in enumerate(assignment, start=1):
-        if not isinstance(c, int) or c < 1:
+        if not is_integer(c) or c < 1:
             raise MalformedInput(f"colour of vertex {i} must be a positive integer")
         out[i] = c
     return out

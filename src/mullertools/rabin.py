@@ -14,6 +14,8 @@ from .core import (Alphabet, Automaton, MalformedInput, MullerAcceptance,
                    ScaleGuard, UnsupportedOperation, _cycle_covers,
                    accepting_colour_set, bit_indices, edge_component,
                    strongly_connected_components, submasks, zielonka_children)
+from .graphs import SimpleGraph, chromatic_number
+from .zielonka import general_memory
 
 
 @dataclass(frozen=True)
@@ -412,19 +414,37 @@ def _kept_first_rows(k: int, g: int, swaps: list[tuple[int, int]]) -> list[tuple
     return [row for row in rows if not beaten(row)]
 
 
+def _conflicts(cond: MullerCondition) -> list[tuple[int, int]]:
+    """Pairs of letters a < b with {a} and {b} rejecting and {a, b} accepting."""
+    g, accepting = len(cond.alphabet), cond.accepting
+    return [(a, b) for a in range(g) for b in range(a + 1, g)
+            if (1 << a | 1 << b) in accepting
+            and 1 << a not in accepting and 1 << b not in accepting]
+
+
+def _lower_bound(cond: MullerCondition, conflicts: list[tuple[int, int]]) -> int:
+    """Fewest states any typeable structure can have: the chromatic number of
+    the letter-conflict graph, or the condition's general memory if larger."""
+    conflict_graph = SimpleGraph(len(cond.alphabet),
+                                 tuple((a + 1, b + 1) for a, b in conflicts))
+    return max(chromatic_number(conflict_graph)[0], general_memory(cond))
+
+
 def _search_worker(args) -> Optional[tuple[int, ...]]:
     k, g, acc, row = args
     return next(_tables(k, g, row, _Typeness(k, g, bytearray(acc))), None)
 
 
 def _find_structure(k: int, g: int, acc: bytearray, swaps: list[tuple[int, int]],
+                    conflicts: list[tuple[int, int]],
                     threads: int) -> Optional[tuple[int, ...]]:
     rows = _kept_first_rows(k, g, swaps)
     check = _Typeness(k, g, acc)
     # letter-determined tables first: they cover proper-colouring style
-    # witnesses immediately and keep the returned structure small and tidy
+    # witnesses immediately and keep the returned structure small and tidy;
+    # a row sending two conflicting letters to one state gives it both loops
     for row in rows:
-        if max(row, default=0) == k - 1:
+        if max(row, default=0) == k - 1 and all(row[a] != row[b] for a, b in conflicts):
             for flat in _tables(k, g, row * k, check):
                 return flat
     if threads > 1 and k * g > 6:
@@ -448,15 +468,26 @@ def min_rabin_size(cond: MullerCondition, max_states: int, *,
     """Fewest states of a deterministic structure over the condition's own
     colours on which the condition becomes Rabin-expressible.
 
-    Tries first-reference tables (one per isomorphism class) with 1, 2, ...
-    states and returns the first size admitting a typeable structure, with
-    the witness as a Muller automaton whose transitions output the letter
-    they read: the first typeable letter-determined table, else the
-    lexicographically first typeable one.  Typeness is checked after every
-    filled cell; first rows that a family-preserving swap of two letters
-    makes smaller are skipped, and threads > 1 splits the kept first rows
-    over worker processes.  Returns (None, None) when no structure up to
+    Tries first-reference tables (one per isomorphism class) with b, b + 1,
+    ... states, b being the lower bound below, and returns the first size
+    admitting a typeable structure, with the witness as a Muller automaton
+    whose transitions output the letter they read: the first typeable
+    letter-determined table, else the lexicographically first typeable one.
+    Typeness is checked after every filled cell; first rows that a
+    family-preserving swap of two letters makes smaller are skipped, and
+    threads > 1 splits the kept first rows over worker processes.  Returns (None, None) when no structure up to
     max_states works; a budget below 1 raises PreconditionViolation.
+
+    The bound b is the larger of two lower bounds, and a budget below it
+    returns (None, None) without searching.  Call letters x and y
+    conflicting when {x} and {y} are rejecting and {x, y} is accepting.
+    Reading x^ω from any state ends on a cycle of x-transitions, so every
+    letter x has a state on an {x}-cycle; if that state also lay on a
+    {y}-cycle, the two rejecting cycles would have an accepting union there,
+    which rules out Rabin acceptance.  So conflicting letters get distinct
+    states and a typeable structure has at least χ(conflict graph) states.
+    It also serves as a chromatic memory, which is never smaller than the
+    general memory (Dziembowski-Jurdziński-Walukiewicz 1997).
     """
     if max_states < 1:
         raise PreconditionViolation(f"state budget {max_states} is below 1")
@@ -468,9 +499,9 @@ def min_rabin_size(cond: MullerCondition, max_states: int, *,
                          " cells, limit 36; the structure search would not"
                          " finish at desk scale")
     acc = bytearray(bits in cond.accepting for bits in range(1 << g))
-    swaps = _letter_swaps(cond)
-    for k in range(1, max_states + 1):
-        flat = _find_structure(k, g, acc, swaps, threads)
+    swaps, conflicts = _letter_swaps(cond), _conflicts(cond)
+    for k in range(_lower_bound(cond, conflicts), max_states + 1):
+        flat = _find_structure(k, g, acc, swaps, conflicts, threads)
         if flat is not None:
             rows = tuple(tuple((flat[q * g + a], a) for a in range(g))
                          for q in range(k))

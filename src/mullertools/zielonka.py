@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
-                   ParityAcceptance, ScaleGuard, zielonka_children)
+                   ParityAcceptance, ScaleGuard, bit_indices, zielonka_children)
 
 
 @dataclass(frozen=True)
@@ -124,21 +124,6 @@ def memory_requirements(cond: MullerCondition) -> MemoryRequirements:
     )
 
 
-def _collect_leaves(tree: ZielonkaTree, path: list[ZielonkaTree],
-                    leaves: list[tuple[ZielonkaTree, tuple[ZielonkaTree, ...]]],
-                    first_leaf: dict[int, int]) -> None:
-    """Leaves in depth-first order with their root paths, and the index of
-    the first leaf below each node (keyed by node id)."""
-    first_leaf[id(tree)] = len(leaves)
-    path.append(tree)
-    if not tree.children:
-        leaves.append((tree, tuple(path)))
-    else:
-        for child in tree.children:
-            _collect_leaves(child, path, leaves, first_leaf)
-    path.pop()
-
-
 def parity_automaton_from_tree(tree: ZielonkaTree) -> Automaton:
     """Deterministic parity automaton over the leaves of the tree.
 
@@ -147,41 +132,52 @@ def parity_automaton_from_tree(tree: ZielonkaTree) -> Automaton:
     symbol, emits that node's priority, and restarts at the first leaf of the
     cyclically next child below that node.  Priorities decrease with depth
     and the root's priority is even exactly when the root is accepting.
+
+    One walk numbers the leaves; a second keeps, for the current path, the
+    step that leaving each node takes and the deepest node holding each
+    symbol, so every transition is one lookup.
     """
     if tree.label != tree.alphabet.full_mask:
         raise MalformedInput("tree root must be labelled by the whole alphabet")
-    leaves: list[tuple[ZielonkaTree, tuple[ZielonkaTree, ...]]] = []
-    first_leaf: dict[int, int] = {}
-    _collect_leaves(tree, [], leaves, first_leaf)
+    first_leaf: dict[int, int] = {}  # node id -> index of the first leaf below it
+
+    def number(node: ZielonkaTree, start: int) -> int:
+        first_leaf[id(node)] = start
+        if not node.children:
+            return start + 1
+        for child in node.children:
+            start = number(child, start)
+        return start
+
+    n_leaves = number(tree, 0)
     height = tree.height()
     base = (height - 1) % 2 if tree.accepting else height % 2
     # priority of a node at depth d is (height - 1 - d) + base
-    out_symbols = tuple(str(p) for p in range(base, height + base))
+    deepest = [0] * len(tree.alphabet)  # depth of the deepest path node holding each symbol
+    steps: list[tuple[int, int]] = []  # (target, colour) of leaving each path node
     rows: list[tuple[tuple[int, int], ...]] = []
-    for leaf, path in leaves:
-        row: list[tuple[int, int]] = []
-        for a in range(len(tree.alphabet)):
-            bit = 1 << a
-            node_depth = None
-            for d in range(len(path) - 1, -1, -1):
-                if path[d].label & bit:
-                    node_depth = d
-                    break
-            if node_depth is None:
-                raise MalformedInput("tree root must be labelled by the whole alphabet")
-            node = path[node_depth]
-            priority = (height - 1 - node_depth) + base
-            if node is leaf:
-                target = first_leaf[id(leaf)]
-            else:
-                below = path[node_depth + 1]
-                position = next(i for i, c in enumerate(node.children) if c is below)
-                nxt = node.children[(position + 1) % len(node.children)]
-                target = first_leaf[id(nxt)]
-            row.append((target, priority - base))
-        rows.append(tuple(row))
+
+    def visit(node: ZielonkaTree, depth: int) -> None:
+        saved = [(a, deepest[a]) for a in bit_indices(node.label)]
+        for a, _ in saved:
+            deepest[a] = depth
+        colour = height - 1 - depth
+        if not node.children:
+            steps.append((first_leaf[id(node)], colour))
+            rows.append(tuple(steps[d] for d in deepest))
+            steps.pop()
+        for position, child in enumerate(node.children):
+            nxt = node.children[(position + 1) % len(node.children)]
+            steps.append((first_leaf[id(nxt)], colour))
+            visit(child, depth + 1)
+            steps.pop()
+        for a, old in saved:
+            deepest[a] = old
+
+    visit(tree, 0)
+    out_symbols = tuple(str(p) for p in range(base, height + base))
     acceptance = ParityAcceptance(tuple(range(base, height + base)))
-    return Automaton(len(leaves), 0, tree.alphabet, Alphabet(out_symbols),
+    return Automaton(n_leaves, 0, tree.alphabet, Alphabet(out_symbols),
                      tuple(rows), acceptance)
 
 

@@ -264,6 +264,77 @@ def test_parity_priorities_must_be_integers(capsys, cond_file, tmp_path):
         assert "must be a non-negative integer" in err
 
 
+def _booleanised(data, path):
+    """Copy of the JSON data with the 0 or 1 at path replaced by the boolean
+    that Python counts as equal to it."""
+    data = json.loads(json.dumps(data))
+    *head, last = path
+    holder = data
+    for key in head:
+        holder = holder[key]
+    assert holder[last] in (0, 1)
+    holder[last] = bool(holder[last])
+    return data
+
+
+def _joined(path):
+    return "/".join(map(str, path))
+
+
+def _refused(capsys, tmp_path, command, *files):
+    paths = []
+    for i, data in enumerate(files):
+        path = tmp_path / f"input{i}.json"
+        path.write_text(json.dumps(data))
+        paths.append(str(path))
+    code, out, err = run(capsys, command, *paths)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("path", [("states",), ("initial",), ("delta", 0, 0),
+                                  ("delta", 1, 2)], ids=_joined)
+def test_automaton_reader_refuses_booleans(capsys, tmp_path, path):
+    aut = build_automaton(initial=0, transitions={(0, "a"): (0, "0"), (0, "b"): (0, "1")},
+                          input_symbols="ab", output_symbols="01",
+                          acceptance=ParityAcceptance((0, 1)))
+    _refused(capsys, tmp_path, "rabincheck",
+             _booleanised(automaton_to_json(aut), path))
+
+
+@pytest.mark.parametrize("path", [("initial",), ("vertices", 0, "id"),
+                                  ("edges", 0, "from"), ("edges", 1, "to")],
+                         ids=_joined)
+def test_arena_reader_refuses_booleans(capsys, tmp_path, path):
+    arena = two_cycle_game(("a",), ("b",), ("a", "b"))
+    game = arena_to_json(arena, at_least_two_colours(arena.colours))
+    _refused(capsys, tmp_path, "solve", _booleanised(game, path))
+
+
+@pytest.mark.parametrize("path", [
+    ("memory", "states"), ("memory", "initial"), ("memory", "update", 0, 0),
+    ("memory", "update", 1, 1), ("memory", "update", 1, 2), ("table", 0, "vertex"),
+    ("table", 0, "mstate"), ("table", 0, "edge")], ids=_joined)
+def test_strategy_reader_refuses_booleans(capsys, tmp_path, path):
+    # one vertex with an a-loop and a b-loop; always taking the a-loop wins
+    arena = two_cycle_game(("a",), ("b",), ("a", "b"))
+    game = arena_to_json(arena, MullerCondition.make(("a", "b"), [("a",)]))
+    strategy = {"memory": {"states": 1, "initial": 0, "kind": "general",
+                           "update": [[0, 0, 0], [0, 1, 0]]},
+                "table": [{"vertex": 0, "mstate": 0, "edge": 0}]}
+    _refused(capsys, tmp_path, "verify", game, _booleanised(strategy, path))
+
+
+def test_colouring_reader_refuses_booleans(capsys, tmp_path):
+    graph_path = tmp_path / "p3.col"
+    graph_path.write_text(graph_to_dimacs(P3))
+    colouring_path = tmp_path / "col.json"
+    colouring_path.write_text(json.dumps({"size": 2, "assignment": [True, 2, True]}))
+    code, out, err = run(capsys, "colour2rabin", str(graph_path), str(colouring_path))
+    assert (code, out) == (2, "")
+    assert "must be a positive integer" in err
+
+
 def test_solve_game_without_condition(capsys, tmp_path):
     arena = two_cycle_game(("a",), ("b",), ("a", "b"))
     game_path = tmp_path / "game.json"

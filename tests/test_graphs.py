@@ -152,6 +152,11 @@ def test_improper_colouring_rejected():
         colouring_to_rabin(K3, {1: 1, 2: 2})
 
 
+def test_boolean_colours_rejected():
+    with pytest.raises(MalformedInput, match="positive integer"):
+        colouring_to_rabin(P3, {1: True, 2: 2, 3: True})
+
+
 def test_edge_alternation_is_rabin_structure():
     for graph in (P3, K3, C4):
         assert check_rabin_typeable(edge_alternation_automaton(graph)).typeable

@@ -1,28 +1,30 @@
 """Rabin typeness, pair synthesis, equivalence checks and the structure search."""
 import itertools
+import json
 import random
 import time
 
 import pytest
 
+from mullertools.cli import main
 from mullertools.core import (Alphabet, Automaton, MullerAcceptance,
                               MullerCondition, ParityAcceptance, PeriodicWord,
                               PreconditionViolation, ScaleGuard,
                               accepting_colour_set, accepts_up_word,
-                              bit_indices, build_automaton)
+                              bit_indices, build_automaton, condition_to_json)
 from mullertools.rabin import (NotRabinTypeable, RabinTypenessReport,
-                               acceptance_to_condition,
+                               _conflicts, _lower_bound, acceptance_to_condition,
                                canonical_structures, check_rabin_typeable,
                                chromatic_memory, min_rabin_size,
                                muller_equivalent, rabin_equivalent,
                                synthesize_rabin_pairs)
-from mullertools.games import exactly_two_colours
+from mullertools.games import at_least_two_colours, exactly_two_colours
 from mullertools.graphs import SimpleGraph, graph_edge_condition
 from mullertools.zielonka import parity_automaton
 
 from generators import (inflate, random_condition, random_genbuchi_automaton,
                         random_muller_automaton, random_rabin_automaton)
-from oracles import (automaton_cycle_sets, brute_min_rabin_size,
+from oracles import (automaton_cycle_sets, brute_chromatic, brute_min_rabin_size,
                      colour_set_wins, first_reference_tables, product_agrees)
 
 
@@ -394,3 +396,48 @@ def test_min_rabin_scale_guards():
     with pytest.raises(ScaleGuard, match="13 states × 3 letters = 39 cells, limit 36"):
         min_rabin_size(cond, 13)
     assert min_rabin_size(cond, 12)[0] == 3  # 36 cells are within the limit
+
+
+def complete_graph_condition(n: int) -> MullerCondition:
+    edges = tuple(itertools.combinations(range(1, n + 1), 2))
+    return graph_edge_condition(SimpleGraph(n, edges))
+
+
+def test_lower_bound_is_sound():
+    rng = random.Random(97)
+    for _ in range(300):
+        g = rng.choice((1, 2, 3))
+        cond = random_condition(rng, g)
+        size, _ = brute_min_rabin_size(g, cond.accepting, 3)
+        assert size is not None and _lower_bound(cond, _conflicts(cond)) <= size
+    # on a graph's edge condition the conflict graph is the graph itself
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for chosen in range(1 << len(pairs)):
+            edges = tuple(pair for i, pair in enumerate(pairs) if chosen >> i & 1)
+            cond = graph_edge_condition(SimpleGraph(n, edges))
+            assert _lower_bound(cond, _conflicts(cond)) == brute_chromatic(n, edges), edges
+
+
+@pytest.mark.parametrize("cond, budget, expected", [
+    (complete_graph_condition(5), 5, 5),
+    (complete_graph_condition(6), 6, 6),
+    (at_least_two_colours("abcde"), 6, 5),
+], ids=["K5", "K6", "at_least_two_colours"])
+def test_search_starts_at_a_tight_bound(cond, budget, expected):
+    start = time.perf_counter()
+    size, witness = min_rabin_size(cond, budget)
+    assert time.perf_counter() - start < 5
+    assert size == expected
+    assert check_rabin_typeable(witness).typeable
+
+
+def test_budget_below_the_bound(capsys, tmp_path):
+    cond = complete_graph_condition(5)
+    start = time.perf_counter()
+    assert min_rabin_size(cond, 4) == (None, None)
+    assert time.perf_counter() - start < 1
+    path = tmp_path / "k5.json"
+    path.write_text(json.dumps(condition_to_json(cond)))
+    assert main(["memchrom", str(path), "--max-size", "4"]) == 0
+    assert '"chromatic_memory": null' in capsys.readouterr().out
