@@ -8,6 +8,8 @@ question reduces to questions about cycles and their colour sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 MAX_ALPHABET = 64
@@ -420,24 +422,6 @@ def strongly_connected_components(
     return comps
 
 
-def ergodic_components(
-        vertices: Iterable[int],
-        edges: Sequence[tuple],
-) -> list[tuple[tuple[int, ...], tuple[tuple, ...]]]:
-    """Strongly connected components with no edge leaving them."""
-    comps = strongly_connected_components(vertices, edges)
-    comp_of: dict[int, int] = {}
-    for i, (mem, _) in enumerate(comps):
-        for v in mem:
-            comp_of[v] = i
-    leaky: set[int] = set()
-    for e in edges:
-        src, dst = e[0], e[1]
-        if src in comp_of and dst in comp_of and comp_of[src] != comp_of[dst]:
-            leaky.add(comp_of[src])
-    return [comps[i] for i in range(len(comps)) if i not in leaky]
-
-
 def _cycle_covers(edges: Sequence[tuple[int, int, int]]
                   ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Every strongly connected component of every label restriction of a
@@ -456,8 +440,9 @@ def _cycle_covers(edges: Sequence[tuple[int, int, int]]
     top-level components come in order of smallest vertex, each with all
     covers inside it before the next, and a component comes before the
     covers inside it, so a consumer may stop at the first cover it rejects.
-    Rabin typeness does not need every cover: check_rabin_typeable walks
-    only the largest subcycles on alternating sides of the acceptance.
+    Only synthesize_rabin_pairs, muller_equivalent, minimize_genbuchi's
+    self-check and realizable_cycle_sets need every cover; the other cycle
+    questions walk alternating_children.
     """
     def split(edges, vertices, need):
         found = []
@@ -614,6 +599,52 @@ def zielonka_children(label: int, accepts: Callable[[int], bool]) -> list[int]:
                 stack.append((sub, need))
             need |= bit
     return max_inclusion(found)
+
+
+def subcycles(edges: Sequence[tuple], within: int
+              ) -> Iterator[tuple[int, int, tuple[tuple, ...]]]:
+    """Strongly connected components with an internal edge, smallest vertex
+    first, of the edges whose label lies within the given bits (-1: all),
+    as (vertex bitset, cover, internal edges).  edges are (src, dst, label
+    bitset, ...); silent edges (label 0) always count, and the cover is the
+    union of the internal labels."""
+    kept = [e for e in edges if not e[2] & ~within]
+    for comp, inner in strongly_connected_components(
+            {v for e in kept for v in e[:2]}, kept):
+        if inner:
+            yield sum(1 << v for v in comp), reduce(or_, (e[2] for e in inner)), inner
+
+
+def alternating_children(internal: Sequence[tuple], cover: int,
+                         accepts: Callable[[int], bool],
+                         split: Callable[[int], list[int]]
+                         ) -> list[tuple[int, int, tuple[tuple, ...]]]:
+    """Children of a node of the alternating cycle decomposition
+    (Casares-Colcombet-Fijalkow 2021): (vertex bitset, cover, edges) of the
+    largest subcycles of the strongly connected edges internal, with labels
+    making up cover, on the other side of accepts, by ascending cover.
+
+    split(colours) gives the largest subsets of colours on the other side
+    (zielonka_children).  Each child lies in a Zielonka child of the cover,
+    inside a component of the edges coloured there, or if that component is
+    on the node's side, inside one of its own."""
+    side = accepts(cover)
+    found: dict[tuple[int, int], tuple] = {}
+    work = [(internal, cover)]
+    while work:
+        edges_in, colours = work.pop()
+        for label in split(colours):
+            for verts, sub, inner in subcycles(edges_in, label):
+                if (verts, sub) not in found:
+                    found[verts, sub] = inner
+                    if accepts(sub) == side:
+                        work.append((inner, sub))
+    # a subcycle holds all of the node's edges among its vertices with
+    # labels in its cover, so inclusion compares vertices and covers
+    other = sorted((sub, verts) for verts, sub in found if accepts(sub) != side)
+    return [(verts, sub, found[verts, sub]) for sub, verts in other
+            if not any((v, c) != (verts, sub) and not verts & ~v and not sub & ~c
+                       for c, v in other)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@ synthesis and verification, and searches for small memory structures."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from typing import Optional
 
 from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
                    PreconditionViolation, PropertyViolation, ScaleGuard,
-                   _cycle_covers, condition_from_json, condition_to_json,
-                   edge_component, is_integer, strongly_connected_components)
+                   alternating_children, condition_from_json,
+                   condition_to_json, edge_component, is_integer,
+                   strongly_connected_components, subcycles, zielonka_children)
 from .rabin import canonical_structures
 from .zielonka import parity_automaton
 
@@ -363,16 +365,17 @@ def solve_muller_game(arena: Arena, cond: MullerCondition):
 
 def _all_cycles_accepting(cond: MullerCondition, arena: Arena, edges) -> bool:
     """Whether every cycle of a graph whose edges carry arena colours (None
-    when silent) produces an accepting set of the condition."""
+    when silent) produces an accepting set of the condition: whether each
+    component accepts and has no alternating children."""
     bit = [cond.alphabet.bit(sym) for sym in arena.colours.symbols]
     labelled = [(src, dst, 0 if colour is None else bit[colour])
                 for src, dst, colour in edges]
-    for _, cover in _cycle_covers(labelled):
-        # components come before the covers inside them, so only a whole
-        # top-level component can trip the guard, as soon as it is reached
+    accepts = cond.accepting.__contains__
+    split = cache(lambda colours: zielonka_children(colours, accepts))
+    for _, cover, internal in subcycles(labelled, -1):
         if cover.bit_count() > 14:
             raise ScaleGuard(f"{cover.bit_count()} colours in one component, limit 14")
-        if not cond.admits(cover):
+        if not accepts(cover) or alternating_children(internal, cover, accepts, split):
             return False
     return True
 
@@ -862,9 +865,13 @@ def strategy_from_json(data: object, arena: Arena
     if kind not in ("general", "chromatic"):
         raise MalformedInput("memory kind must be 'general' or 'chromatic'")
     width = len(arena.colours) if kind == "chromatic" else len(arena.edges)
-    rows = [[None] * width for _ in range(size)]
     if not isinstance(mem["update"], list):
         raise MalformedInput("memory field 'update' must be a list")
+    # counted before allocating; without duplicates every cell is then set
+    if len(mem["update"]) != size * width:
+        raise MalformedInput(f"memory update has {len(mem['update'])} entries, not"
+                             f" states × columns = {size} × {width}")
+    rows = [[None] * width for _ in range(size)]
     for entry in mem["update"]:
         if not isinstance(entry, list) or len(entry) != 3:
             raise MalformedInput("each update entry must be [state, key, state]")
@@ -881,10 +888,6 @@ def strategy_from_json(data: object, arena: Arena
         if rows[m][column] is not None:
             raise MalformedInput("duplicate update entry")
         rows[m][column] = m2
-    for m in range(size):
-        for column in range(width):
-            if rows[m][column] is None:
-                raise MalformedInput(f"memory update row {m} is incomplete")
     memory = MemoryStructure(kind, size, mem["initial"],
                              tuple(tuple(row) for row in rows))
     if not isinstance(data["table"], list):

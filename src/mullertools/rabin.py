@@ -9,11 +9,11 @@ from operator import or_
 from typing import Iterator, Optional
 
 from .core import (Alphabet, Automaton, MalformedInput, MullerAcceptance,
-                   MullerCondition, PreconditionViolation,
-                   PropertyViolation, RabinAcceptance,
-                   ScaleGuard, UnsupportedOperation, _cycle_covers,
-                   accepting_colour_set, bit_indices, edge_component,
-                   strongly_connected_components, submasks, zielonka_children)
+                   MullerCondition, PreconditionViolation, PropertyViolation,
+                   RabinAcceptance, ScaleGuard, UnsupportedOperation,
+                   _cycle_covers, accepting_colour_set, alternating_children,
+                   bit_indices, edge_component, strongly_connected_components,
+                   subcycles, submasks, zielonka_children)
 from .graphs import SimpleGraph, chromatic_number
 from .zielonka import general_memory
 
@@ -61,45 +61,14 @@ def check_rabin_typeable(aut: Automaton) -> RabinTypenessReport:
         raise ScaleGuard(f"{used.bit_count()} distinct colours, limit 20")
     accepts = cache(partial(accepting_colour_set, aut.acceptance))
     split = cache(lambda colours: zielonka_children(colours, accepts))
-
-    def components(internal, within: int):
-        kept = [e for e in internal if not e[2] & ~within]
-        for comp, inner in strongly_connected_components(
-                {v for e in kept for v in e[:2]}, kept):
-            if inner:
-                yield sum(1 << v for v in comp), reduce(or_, (e[2] for e in inner)), inner
-
-    def children(internal, cover: int) -> list[tuple[int, int, tuple]]:
-        """(states, cover, edges) of the node's largest subcycles on the other
-        side, by ascending cover.  Each lies in a Zielonka child of the
-        cover, inside a component of the edges coloured there, or if that
-        component is on the node's side, inside one of its own."""
-        side = accepts(cover)
-        found: dict[tuple[int, int], tuple] = {}
-        work = [(internal, cover)]
-        while work:
-            edges_in, colours = work.pop()
-            for label in split(colours):
-                for verts, sub, inner in components(edges_in, label):
-                    if (verts, sub) not in found:
-                        found[verts, sub] = inner
-                        if accepts(sub) == side:
-                            work.append((inner, sub))
-        # a subcycle holds all of the node's edges among its states with
-        # colours in its cover, so inclusion compares states and covers
-        other = sorted((sub, verts) for verts, sub in found if accepts(sub) != side)
-        return [(verts, sub, found[verts, sub]) for sub, verts in other
-                if not any((v, c) != (verts, sub) and not verts & ~v and not sub & ~c
-                           for c, v in other)]
-
-    stack = list(components(edges, used))[::-1]
+    stack = list(subcycles(edges, used))[::-1]
     seen = set()  # overlapping children of a rejecting node share nodes below
     while stack:
         verts, cover, internal = stack.pop()
         if (verts, cover) in seen:
             continue
         seen.add((verts, cover))
-        kids = children(internal, cover)
+        kids = alternating_children(internal, cover, accepts, split)
         for i, (first_verts, first, _) in enumerate(kids if accepts(cover) else ()):
             for second_verts, second, _ in kids[i + 1:]:
                 if shared := first_verts & second_verts:

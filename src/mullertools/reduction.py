@@ -2,95 +2,33 @@
 automaton, and minimisation of parity and generalised Buchi automata."""
 from __future__ import annotations
 
-from .core import (Alphabet, Automaton, GenBuchiAcceptance, MalformedInput,
+from functools import cache, partial, reduce
+from operator import or_
+
+from .core import (Alphabet, Automaton, GenBuchiAcceptance,
                    PreconditionViolation, UnsupportedOperation, _cycle_covers,
-                   accepting_colour_set, ergodic_components, max_inclusion,
-                   strongly_connected_components)
+                   accepting_colour_set, alternating_children, bit_indices,
+                   max_inclusion, strongly_connected_components, subcycles)
 from .zielonka import ZielonkaTree, parity_automaton_from_tree
 
-# Edges below are (src, dst, input position, priority) tuples; the generic
-# component helpers only look at the first two fields.
-Edge = tuple[int, int, int, int]
+
+def _letters(edges) -> int:
+    return reduce(or_, (1 << e[3] for e in edges), 0)
 
 
-def _priorities(aut: Automaton) -> tuple[int, ...]:
-    if aut.acceptance.kind != "parity":
-        raise UnsupportedOperation("this operation needs a parity automaton")
-    return aut.acceptance.priorities
+def _closed_part(edges, letters: int) -> tuple[tuple, ...]:
+    """Edges of the closed strongly connected part with the smallest vertex
+    among the edges over the given letters.
 
-
-def _letters(edges: list[Edge]) -> int:
-    bits = 0
-    for _, _, a, _ in edges:
-        bits |= 1 << a
-    return bits
-
-
-def _max_priority(edges: list[Edge]) -> int:
-    return max(p for _, _, _, p in edges)
-
-
-def _vertices(edges: list[Edge]) -> set[int]:
-    verts: set[int] = set()
-    for src, dst, _, _ in edges:
-        verts.add(src)
-        verts.add(dst)
-    return verts
-
-
-def alternating_sets(edges: list[Edge]) -> list[int]:
-    """Inclusion-maximal letter bitsets of subgraphs whose top priority has
-    the opposite parity of the top priority of the given edge set.
-
-    Removes the top-priority edges, decomposes what remains into strongly
-    connected parts, records the letters of parts that already alternate and
-    digs further into parts that do not.
+    edges are (src, dst, colour bit, letter position) tuples with one edge
+    per vertex and letter, so a part is closed when it holds every edge of
+    its vertices, and then it carries all the letters.
     """
-    if not edges:
-        return []
-    top = _max_priority(edges)
-    lower = [e for e in edges if e[3] < top]
-    collected: list[int] = []
-    for _, internal in strongly_connected_components(_vertices(lower), lower):
-        if not internal:
-            continue
-        part = list(internal)
-        if _max_priority(part) % 2 != top % 2:
-            collected.append(_letters(part))
-        else:
-            collected.extend(alternating_sets(part))
-    return max_inclusion(collected)
-
-
-def complete_scc(letter_bits: int, edges: list[Edge]) -> list[Edge]:
-    """Restrict to the given input letters and return one closed strongly
-    connected part, the one containing the smallest state id.
-
-    The input edge set must be complete over its letters (every vertex
-    carries one edge per letter), which makes every closed part complete over
-    the requested letters as well.
-    """
-    sub = [e for e in edges if (1 << e[2]) & letter_bits]
-    closed = [c for c in ergodic_components(_vertices(sub), sub) if c[1]]
-    if not closed:
-        raise PreconditionViolation("restriction has no closed strongly connected part")
-    comp_vertices, internal = closed[0]  # components are ordered by smallest vertex
-    part = list(internal)
-    if _letters(part) != letter_bits:
-        raise PreconditionViolation(
-            "closed part does not carry all requested letters; "
-            "the edge set was not complete over its letters")
-    return part
-
-
-def _ergodic_edges(aut: Automaton) -> list[Edge]:
-    prio = _priorities(aut)
-    edges: list[Edge] = [(q, target, a, prio[colour])
-                         for q, a, target, colour in aut.edges()]
-    closed = [c for c in ergodic_components(range(aut.n_states), edges) if c[1]]
-    if not closed:
-        raise PreconditionViolation("automaton graph has no closed strongly connected part")
-    return list(closed[0][1])
+    sub = [e for e in edges if 1 << e[3] & letters]
+    for comp, inner in strongly_connected_components({v for e in sub for v in e[:2]}, sub):
+        if len(inner) == len(comp) * letters.bit_count():
+            return inner
+    raise PreconditionViolation("restriction has no closed strongly connected part")
 
 
 def zielonka_tree_from_parity(aut: Automaton) -> ZielonkaTree:
@@ -98,26 +36,41 @@ def zielonka_tree_from_parity(aut: Automaton) -> ZielonkaTree:
 
     Works on one closed strongly connected component of the automaton graph
     (the one containing the smallest state id); the language restricted to
-    infinite behaviours lives entirely inside such components.
+    infinite behaviours lives entirely inside such components.  A node's
+    children are the largest letter sets of its alternating_children, the
+    largest subcycles on the other side of the acceptance, each grown to the
+    closed part over its letters.  A parity cover has one Zielonka child:
+    its colours up to the top priority of the other parity.
     """
+    if aut.acceptance.kind != "parity":
+        raise UnsupportedOperation("this operation needs a parity automaton")
+    prio = aut.acceptance.priorities
     alphabet = aut.input_alphabet
+    accepts = cache(partial(accepting_colour_set, aut.acceptance))
 
-    def build(edges: list[Edge]) -> ZielonkaTree:
-        accepting = _max_priority(edges) % 2 == 0
-        label = _letters(edges)
+    @cache
+    def split(colours: int) -> list[int]:
+        top = max(prio[i] for i in bit_indices(colours))
+        other = [prio[i] for i in bit_indices(colours) if (prio[i] - top) % 2]
+        if not other:
+            return []
+        return [sum(1 << i for i in bit_indices(colours) if prio[i] <= max(other))]
+
+    def build(edges) -> ZielonkaTree:
+        cover, label = reduce(or_, (e[2] for e in edges)), _letters(edges)
         kids = []
-        for letter_bits in sorted(alternating_sets(edges)):
+        for letter_bits in max_inclusion(
+                _letters(inner) for _, _, inner in
+                alternating_children(edges, cover, accepts, split)):
             if letter_bits == label:
                 # two cycles over the same letters with different verdicts
                 raise PreconditionViolation(
                     "not a Muller condition over the input letters")
-            kids.append(build(complete_scc(letter_bits, edges)))
-        return ZielonkaTree(alphabet, label, accepting, tuple(kids))
+            kids.append(build(_closed_part(edges, letter_bits)))
+        return ZielonkaTree(alphabet, label, accepts(cover), tuple(kids))
 
-    root = build(_ergodic_edges(aut))
-    if root.label != alphabet.full_mask:
-        raise MalformedInput("automaton is not complete over its input alphabet")
-    return root
+    edges = [(q, target, 1 << colour, a) for q, a, target, colour in aut.edges()]
+    return build(_closed_part(edges, alphabet.full_mask))
 
 
 def minimize_parity(aut: Automaton) -> Automaton:
@@ -147,15 +100,9 @@ def minimize_genbuchi(aut: Automaton) -> Automaton:
     full = alphabet.full_mask
     rejecting: list[int] = []
     for needed in aut.acceptance.sets:
-        kept = [(q, target, a) for q, a, target, colour in aut.edges()
+        kept = [(q, target, 1 << a) for q, a, target, colour in aut.edges()
                 if not (1 << colour) & needed]
-        for _, internal in strongly_connected_components(range(aut.n_states), kept):
-            if not internal:
-                continue
-            letters = 0
-            for _, _, a in internal:
-                letters |= 1 << a
-            rejecting.append(letters)
+        rejecting += [letters for _, letters, _ in subcycles(kept, -1)]
     acceptance = GenBuchiAcceptance(tuple(sorted(full & ~bits for bits in max_inclusion(rejecting))))
     n_letters = len(alphabet)
     labelled = [(q, target, 1 << a | 1 << (n_letters + colour))
@@ -171,6 +118,6 @@ def minimize_genbuchi(aut: Automaton) -> Automaton:
 
 
 __all__ = [
-    "alternating_sets", "complete_scc", "max_inclusion", "minimize_genbuchi",
-    "minimize_parity", "zielonka_tree_from_parity",
+    "max_inclusion", "minimize_genbuchi", "minimize_parity",
+    "zielonka_tree_from_parity",
 ]

@@ -1,5 +1,6 @@
 """End-to-end command line checks, driven in process through main()."""
 import json
+import time
 
 import pytest
 
@@ -439,3 +440,16 @@ def test_seed_option_is_gone(capsys, cond_file):
     with pytest.raises(SystemExit) as exc:
         main(["mem", cond_file, "--seed", "3"])
     assert exc.value.code == 2
+
+
+def test_verify_counts_update_entries_before_allocating(capsys, tmp_path):
+    # a strategy file of a few bytes claims 10**12 memory states: the reader
+    # must refuse it before it allocates a row per state
+    arena = two_cycle_game(("a",), ("b",), ("a", "b"))
+    game = arena_to_json(arena, at_least_two_colours(arena.colours))
+    strategy = {"memory": {"states": 10 ** 12, "initial": 0, "kind": "chromatic",
+                           "update": []},
+                "table": []}
+    start = time.perf_counter()
+    _refused(capsys, tmp_path, "verify", game, strategy)
+    assert time.perf_counter() - start < 1

@@ -329,6 +329,26 @@ def test_verify_strategy_matches_walk_oracle():
         assert good == strategy_wins(arena, cond, memory, moves)
         verdicts.append(good)
     assert 20 < sum(verdicts) < 130
+    # 4-5 colours, dense families and opponent-only arenas of three vertices
+    # with two to four edges each: a rejecting cycle then often lies only
+    # inside an accepting component of a rejecting label, two levels below a
+    # top-level component of the alternating cycle decomposition
+    verdicts = []
+    for _ in range(2000):
+        n_colours = rng.choice((4, 5))
+        colours = Alphabet(tuple("abcde"[:n_colours]))
+        edges = tuple((v, rng.randrange(3), rng.randrange(n_colours))
+                      for v in range(3) for _ in range(rng.randint(2, 4)))
+        arena = Arena(colours, (False,) * 3, 0, edges)
+        cond = MullerCondition(colours, frozenset(
+            bits for bits in range(1, 1 << n_colours) if rng.random() < 0.85))
+        size = rng.choice((1, 2))
+        memory = MemoryStructure("chromatic", size, 0, tuple(
+            tuple(rng.randrange(size) for _ in range(n_colours)) for _ in range(size)))
+        good = verify_strategy(arena, cond, memory, StrategyTable(()))
+        assert good == strategy_wins(arena, cond, memory, {})
+        verdicts.append(good)
+    assert 300 < sum(verdicts) < 1000
 
 
 def test_verify_colour_guard_follows_component_order():

@@ -1,15 +1,16 @@
 """Tree recovery from parity automata and the two minimisers."""
 import itertools
 import random
+import time
 
 import pytest
 
 from mullertools.core import (Alphabet, Automaton, GenBuchiAcceptance,
                               MullerCondition, ParityAcceptance, PeriodicWord,
                               PreconditionViolation, UnsupportedOperation,
-                              accepts_up_word)
-from mullertools.reduction import (alternating_sets, minimize_genbuchi,
-                                   minimize_parity, zielonka_tree_from_parity)
+                              accepts_up_word, build_automaton)
+from mullertools.reduction import (minimize_genbuchi, minimize_parity,
+                                   zielonka_tree_from_parity)
 from mullertools.zielonka import (parity_automaton, trees_isomorphic,
                                   zielonka_tree)
 
@@ -24,11 +25,9 @@ def at_least_two_of_three():
 
 
 def test_alternating_sets_frozen():
-    aut = parity_automaton(at_least_two_of_three())
-    prio = aut.acceptance.priorities
-    edges = [(q, target, a, prio[colour]) for q, a, target, colour in aut.edges()]
-    # below the accepting top level only the single-letter loops remain
-    assert sorted(alternating_sets(edges)) == [0b001, 0b010, 0b100]
+    tree = zielonka_tree_from_parity(parity_automaton(at_least_two_of_three()))
+    # below the accepting root only the single-letter loops remain
+    assert [child.label for child in tree.children] == [0b001, 0b010, 0b100]
 
 
 def test_tree_roundtrip_random_conditions():
@@ -112,6 +111,31 @@ def test_minimize_genbuchi_rejects_other_kinds():
     cond = at_least_two_of_three()
     with pytest.raises(UnsupportedOperation):
         minimize_genbuchi(parity_automaton(cond))
+
+
+def test_tree_recovery_is_not_exponential_in_colours():
+    # letter a walks a ring of 20 states, each step with its own colour of
+    # priority 2..21; b and c loop in place with priorities 22 and 0.  The
+    # root cover has 22 colours, and a descent through every colour set on
+    # its side would meet about 2^20 of them
+    n = 20
+    transitions = {}
+    for q in range(n):
+        transitions[q, "a"] = ((q + 1) % n, f"r{q}")
+        transitions[q, "b"] = (q, "x")
+        transitions[q, "c"] = (q, "y")
+    aut = build_automaton(initial=0, transitions=transitions, input_symbols="abc",
+                          output_symbols=[f"r{q}" for q in range(n)] + ["x", "y"],
+                          acceptance=ParityAcceptance(tuple(range(2, n + 2)) + (n + 2, 0)))
+    start = time.perf_counter()
+    tree = zielonka_tree_from_parity(aut)
+    assert time.perf_counter() - start < 1
+    # a cycle with a goes round the ring; b wins, else a loses, else c wins
+    cond = MullerCondition.make("abc", [("b",), ("a", "b"), ("b", "c"),
+                                        ("a", "b", "c"), ("c",)])
+    assert trees_isomorphic(tree, zielonka_tree(cond))
+    assert [node.label for node in (tree, *tree.children)] == [0b111, 0b101]
+    assert minimize_parity(aut).n_states == parity_automaton(cond).n_states
 
 
 def test_minimize_parity_rejects_other_kinds():
