@@ -100,16 +100,20 @@ class Alphabet:
     def position(self, symbol: str) -> int:
         try:
             return self._index[symbol]  # type: ignore[attr-defined]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable JSON list
             raise MalformedInput(f"unknown symbol {symbol!r}") from None
 
     def bit(self, symbol: str) -> int:
         return 1 << self.position(symbol)
 
     def bits(self, symbols: Iterable[str]) -> int:
+        index = self._index  # type: ignore[attr-defined]
         out = 0
         for sym in symbols:
-            out |= self.bit(sym)
+            try:
+                out |= 1 << index[sym]
+            except (KeyError, TypeError):
+                raise MalformedInput(f"unknown symbol {sym!r}") from None
         return out
 
     def names(self, bits: int) -> tuple[str, ...]:
@@ -354,72 +358,66 @@ def strongly_connected_components(
 ) -> list[tuple[tuple[int, ...], tuple[tuple, ...]]]:
     """Tarjan strongly connected components of a directed multigraph.
 
-    edges are (src, dst) or (src, dst, payload) tuples.  Returns a list of
-    (sorted vertex tuple, internal edge tuple) pairs ordered by smallest
-    vertex; internal edges keep their given order.
+    edges are (src, dst, ...) tuples; an edge with an endpoint outside
+    vertices is ignored.  Returns a list of (sorted vertex tuple, internal
+    edge tuple) pairs ordered by smallest vertex; internal edges keep their
+    given order.
     """
     verts = sorted(set(vertices))
-    succ: dict[int, list[int]] = {v: [] for v in verts}
-    for e in edges:
-        src, dst = e[0], e[1]
-        if src in succ and dst in succ:
-            succ[src].append(dst)
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+    n = len(verts)
+    pos = {v: i for i, v in enumerate(verts)}  # dense index of each vertex
+    succ: list[list[int]] = [[] for _ in verts]
+    ends = [(pos.get(e[0]), pos.get(e[1])) for e in edges]
+    for i, j in ends:
+        if i is not None and j is not None:
+            succ[i].append(j)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n  # a visited vertex is on the stack until it gets one
     stack: list[int] = []
-    comp_of: dict[int, int] = {}
-    counter = 0
-    n_comps = 0
-    for root in verts:
-        if root in index:
+    counter = n_comps = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        # iterative Tarjan: (vertex, iterator position)
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]  # iterative Tarjan
         while work:
-            v, pos = work[-1]
-            if pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            children = succ[v]
-            while pos < len(children):
-                w = children[pos]
-                pos += 1
-                if w not in index:
-                    work[-1] = (v, pos)
-                    work.append((w, 0))
-                    advanced = True
+            v, children = work[-1]
+            for w in children:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp_of[w] = n_comps
-                    if w == v:
-                        break
-                n_comps += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    members: list[list[int]] = [[] for _ in range(n_comps)]
-    for v, c in comp_of.items():
-        members[c].append(v)
-    internal: list[list[tuple]] = [[] for _ in range(n_comps)]
-    for e in edges:
-        src, dst = e[0], e[1]
-        if src in comp_of and comp_of[src] == comp_of.get(dst, -1):
-            internal[comp_of[src]].append(e)
-    comps = [(tuple(sorted(m)), tuple(internal[c])) for c, m in enumerate(members)]
-    comps.sort(key=lambda pair: pair[0][0])
-    return comps
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = n_comps
+                        if w == v:
+                            break
+                    n_comps += 1
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    # renumber components by smallest vertex; members come out sorted
+    rank = [-1] * n_comps
+    members: list[list[int]] = []
+    for i, c in enumerate(comp):
+        if rank[c] < 0:
+            rank[c] = len(members)
+            members.append([])
+        members[rank[c]].append(verts[i])
+    internal: list[list[tuple]] = [[] for _ in members]
+    for e, (i, j) in zip(edges, ends):
+        if i is not None and j is not None and comp[i] == comp[j]:
+            internal[rank[comp[i]]].append(e)
+    return [(tuple(m), tuple(inner)) for m, inner in zip(members, internal)]
 
 
 def _cycle_covers(edges: Sequence[tuple[int, int, int]]
@@ -436,7 +434,9 @@ def _cycle_covers(edges: Sequence[tuple[int, int, int]]
 
     Emerson-Lei refinement, with no memo: a component is split again once per
     free bit, where the i-th child drops that bit and must keep the free bits
-    before it, so no cover is reached twice.  The search is depth first:
+    before it, so no cover is reached twice.  A child whose kept edges'
+    labels do not hold all its required bits is not split at all: every
+    component's cover lies inside that union.  The search is depth first:
     top-level components come in order of smallest vertex, each with all
     covers inside it before the next, and a component comes before the
     covers inside it, so a consumer may stop at the first cover it rejects.
@@ -465,7 +465,8 @@ def _cycle_covers(edges: Sequence[tuple[int, int, int]]
             bit = free & -free
             free ^= bit
             kept = [e for e in internal if not e[2] & bit]
-            children += split(kept, comp, need)
+            if not need & ~reduce(or_, (e[2] for e in kept), 0):
+                children += split(kept, comp, need)
             need |= bit
         stack += reversed(children)
 
@@ -761,9 +762,9 @@ def automaton_from_json(data: object) -> Automaton:
             raise MalformedInput("delta states must be integers")
         if not 0 <= q < n or not 0 <= target < n:
             raise MalformedInput("delta state out of range")
+        inp.position(sym)  # before hashing: a JSON list is no symbol
         if (q, sym) in transitions:
             raise MalformedInput(f"duplicate transition from state {q} on {sym!r}")
-        inp.position(sym)
         out.position(colour)
         transitions[(q, sym)] = (target, colour)
     acceptance = acceptance_from_json(data["acceptance"], out)

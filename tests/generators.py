@@ -141,3 +141,17 @@ def a_then_b(acceptance) -> Automaton:
              (1, "a"): (1, "y"), (1, "b"): (0, "x"), (1, "c"): (0, "y")}
     return build_automaton(initial=0, transitions=trans, input_symbols="abc",
                            output_symbols="xy", acceptance=acceptance)
+
+
+def random_parity_automaton(rng: random.Random, n_states: int, n_in: int,
+                            top_priority: int) -> Automaton:
+    """Random targets, and one output colour per transition with a random
+    priority up to top_priority."""
+    in_syms = tuple(LETTERS[:n_in])
+    n_out = n_states * n_in
+    trans = {(q, a): (rng.randrange(n_states), str(q * n_in + i))
+             for q in range(n_states) for i, a in enumerate(in_syms)}
+    priorities = tuple(rng.randint(0, top_priority) for _ in range(n_out))
+    return build_automaton(initial=0, transitions=trans, input_symbols=in_syms,
+                           output_symbols=tuple(str(i) for i in range(n_out)),
+                           acceptance=ParityAcceptance(priorities))

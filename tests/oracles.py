@@ -325,3 +325,72 @@ def brute_min_chromatic_memory(arena, cond, max_size: int):
                 if strategy_wins(arena, cond, memory, dict(zip(pairs, pick))):
                     return size
     return None
+
+
+def scc_by_reachability(vertices, edges):
+    """Strongly connected components by mutual reachability, in the form
+    strongly_connected_components returns: (sorted vertex tuple, internal
+    edges in input order) pairs, ordered by smallest vertex.  Edges are
+    tuples whose first two entries are the endpoints; an edge with an
+    endpoint outside vertices is ignored."""
+    verts = set(vertices)
+    kept = [e for e in edges if e[0] in verts and e[1] in verts]
+    reach = {}
+    for v in verts:
+        seen, frontier = {v}, [v]
+        while frontier:
+            u = frontier.pop()
+            for e in kept:
+                if e[0] == u and e[1] not in seen:
+                    seen.add(e[1])
+                    frontier.append(e[1])
+        reach[v] = seen
+    comps = {tuple(sorted(w for w in reach[v] if v in reach[w])) for v in verts}
+    return [(comp, tuple(e for e in kept if e[0] in comp and e[1] in comp))
+            for comp in sorted(comps)]
+
+
+def closed_part_tree(aut: Automaton):
+    """Zielonka tree, as nested (letter bitset, accepting, children) tuples
+    with children by ascending label, of the condition on input letters that
+    the cycles of a parity automaton's closed part judge; None when two of
+    those cycles over the same letters get different verdicts.
+
+    The closed part is the strongly connected set of states that no edge
+    leaves and that holds the smallest such state.  Every non-empty letter
+    set is the letter set of a cycle there, and the verdicts come from the
+    closed walks through each of its states, with the letters and the
+    priorities of every walk: a walk is accepted when its top priority is
+    even."""
+    n, width = aut.n_states, len(aut.input_alphabet.symbols)
+    reach = []
+    for q in range(n):
+        seen, frontier = {q}, [q]
+        while frontier:
+            for target, _ in aut.delta[frontier.pop()]:
+                if target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
+        reach.append(seen)
+    part = next(reach[q] for q in range(n)
+                if all(q in reach[r] for r in reach[q]))
+    priorities = aut.acceptance.priorities
+    edges = [(q, target, 1 << a | 1 << (width + priorities[colour]))
+             for q in part for a, (target, colour) in enumerate(aut.delta[q])]
+    verdicts = {}
+    for q in part:
+        for mask in closed_walk_sets(n, edges, q):  # letters, then priorities
+            verdicts.setdefault(mask & ((1 << width) - 1), set()).add(
+                (mask >> width).bit_length() % 2 == 1)
+    if any(len(seen) > 1 for seen in verdicts.values()):
+        return None
+    accepts = {letters: seen.pop() for letters, seen in verdicts.items()}
+
+    def node(label):
+        other = [sub for sub in range(1, label)
+                 if sub & label == sub and accepts[sub] != accepts[label]]
+        largest = [sub for sub in other
+                   if not any(sub != big and sub & big == sub for big in other)]
+        return (label, accepts[label], tuple(node(sub) for sub in largest))
+
+    return node((1 << width) - 1)

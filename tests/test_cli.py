@@ -8,8 +8,8 @@ from mullertools import cli
 from mullertools.cli import main
 from mullertools.core import (GenBuchiAcceptance, MullerAcceptance,
                               MullerCondition, ParityAcceptance,
-                              automaton_to_json, build_automaton,
-                              condition_to_json)
+                              RabinAcceptance, automaton_to_json,
+                              build_automaton, condition_to_json)
 from mullertools.games import (arena_to_json, separation_condition,
                                separation_game, strategy_to_json,
                                separation_chromatic_memory, two_cycle_game,
@@ -265,17 +265,24 @@ def test_parity_priorities_must_be_integers(capsys, cond_file, tmp_path):
         assert "must be a non-negative integer" in err
 
 
-def _booleanised(data, path):
-    """Copy of the JSON data with the 0 or 1 at path replaced by the boolean
-    that Python counts as equal to it."""
+def _replaced(data, path, change):
+    """Copy of the JSON data with the value v at path replaced by change(v)."""
     data = json.loads(json.dumps(data))
     *head, last = path
     holder = data
     for key in head:
         holder = holder[key]
-    assert holder[last] in (0, 1)
-    holder[last] = bool(holder[last])
+    holder[last] = change(holder[last])
     return data
+
+
+def _booleanised(data, path):
+    """Copy of the JSON data with the 0 or 1 at path replaced by the boolean
+    that Python counts as equal to it."""
+    def change(value):
+        assert value in (0, 1)
+        return bool(value)
+    return _replaced(data, path, change)
 
 
 def _joined(path):
@@ -291,6 +298,7 @@ def _refused(capsys, tmp_path, command, *files):
     code, out, err = run(capsys, command, *paths)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+    return err
 
 
 @pytest.mark.parametrize("path", [("states",), ("initial",), ("delta", 0, 0),
@@ -334,6 +342,27 @@ def test_colouring_reader_refuses_booleans(capsys, tmp_path):
     code, out, err = run(capsys, "colour2rabin", str(graph_path), str(colouring_path))
     assert (code, out) == (2, "")
     assert "must be a positive integer" in err
+
+
+@pytest.mark.parametrize("argv", [("zielonka",), ("memchrom", "--max-size", "2")],
+                         ids=lambda argv: argv[0])
+def test_condition_reader_refuses_list_symbol(capsys, tmp_path, argv):
+    path = tmp_path / "cond.json"
+    path.write_text(json.dumps({"alphabet": ["a", "b"], "accepting": [[["a"]]]}))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert "unknown symbol ['a']" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path", [("acceptance", "pairs", 0, 0, 0), ("delta", 0, 1)],
+                         ids=_joined)
+def test_automaton_reader_refuses_list_symbol(capsys, tmp_path, path):
+    aut = build_automaton(initial=0, transitions={(0, "a"): (0, "0"), (0, "b"): (0, "1")},
+                          input_symbols="ab", output_symbols="01",
+                          acceptance=RabinAcceptance(((0b01, 0b10),)))
+    err = _refused(capsys, tmp_path, "rabincheck",
+                   _replaced(automaton_to_json(aut), path, lambda symbol: [symbol]))
+    assert "unknown symbol [" in err
 
 
 def test_solve_game_without_condition(capsys, tmp_path):

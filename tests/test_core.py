@@ -22,7 +22,7 @@ from mullertools.core import (Alphabet, GenBuchiAcceptance, MalformedInput,
 
 from generators import random_condition, random_muller_automaton
 from oracles import (automaton_cycle_sets, closed_walk_sets, edge_walks,
-                     quad_max_inclusion)
+                     quad_max_inclusion, scc_by_reachability)
 
 
 def test_alphabet_basics():
@@ -41,6 +41,11 @@ def test_alphabet_rejects_duplicates_and_unknowns():
         Alphabet(("a", "a"))
     with pytest.raises(MalformedInput):
         Alphabet(("a",)).position("b")
+    for symbol in ("b", ["a"], None, 0):  # a JSON list is unhashable
+        with pytest.raises(MalformedInput, match="unknown symbol"):
+            Alphabet(("a",)).position(symbol)
+        with pytest.raises(MalformedInput, match="unknown symbol"):
+            Alphabet(("a",)).bits(["a", symbol])
     with pytest.raises(MalformedInput):
         Alphabet(())
 
@@ -160,6 +165,24 @@ def test_scc_decomposition():
             assert src in vs and dst in vs
     # ordered by smallest vertex
     assert [min(vs) for vs, _ in comps] == sorted(min(vs) for vs, _ in comps)
+
+
+def test_scc_decomposition_matches_reachability_oracle():
+    rng = random.Random(157)
+    for _ in range(500):
+        ids = rng.sample(range(30), rng.randint(1, 8))  # not contiguous
+        vertices = ids + rng.choices(ids, k=rng.randint(0, 3))  # repeats
+        rng.shuffle(vertices)
+        ends = ids + [30, 31]  # 30 and 31 are outside vertices
+        edges = []
+        for _ in range(rng.randint(0, 14)):
+            src = rng.choice(ends)
+            dst = src if rng.random() < 0.2 else rng.choice(ends)
+            edge = ((src, dst) if rng.random() < 0.5
+                    else (src, dst, rng.randrange(4), rng.randrange(3)))
+            edges += [edge] * rng.choice((1, 1, 1, 2))  # parallel copies
+        assert (strongly_connected_components(vertices, edges)
+                == scc_by_reachability(vertices, edges))
 
 
 def test_realizable_cycle_sets_match_walk_oracle():
