@@ -712,15 +712,16 @@ def acceptance_from_json(data: object, output_alphabet: Alphabet) -> Acceptance:
             raise MalformedInput(f"{kind} acceptance needs a 'pairs' list")
         parsed = []
         for pair in pairs:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise MalformedInput("each pair must be a two-element list")
+            if (not isinstance(pair, list) or len(pair) != 2
+                    or not all(isinstance(part, list) for part in pair)):
+                raise MalformedInput("each pair must be a two-element list of lists")
             parsed.append((output_alphabet.bits(pair[0]), output_alphabet.bits(pair[1])))
         cls = RabinAcceptance if kind == "rabin" else StreettAcceptance
         return cls(tuple(parsed))
     if kind in ("genbuchi", "gencobuchi"):
         sets = data.get("sets")
-        if not isinstance(sets, list):
-            raise MalformedInput(f"{kind} acceptance needs a 'sets' list")
+        if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
+            raise MalformedInput(f"{kind} acceptance needs a 'sets' list of lists")
         cls = GenBuchiAcceptance if kind == "genbuchi" else GenCoBuchiAcceptance
         return cls(tuple(output_alphabet.bits(s) for s in sets))
     raise MalformedInput(f"unknown acceptance kind {kind!r}")

@@ -665,8 +665,7 @@ def two_cycle_game(first_colours, second_colours, symbols) -> Arena:
 # ---------------------------------------------------------------------------
 # Two memory states suffice for "at least two colours" without silent edges.
 
-def two_state_memory_min2(arena: Arena, n_colours: Optional[int] = None
-                          ) -> tuple[MemoryStructure, StrategyTable]:
+def two_state_memory_min2(arena: Arena) -> tuple[MemoryStructure, StrategyTable]:
     """Build a two-state edge-driven winning memory for the condition
     'at least two distinct colours appear infinitely often'.
 
@@ -682,10 +681,7 @@ def two_state_memory_min2(arena: Arena, n_colours: Optional[int] = None
     """
     if not arena.epsilon_free:
         raise PreconditionViolation("arena must have no silent edges")
-    g = len(arena.colours)
-    if n_colours is not None and n_colours != g:
-        raise MalformedInput("declared colour count does not match the arena")
-    if g < 2:
+    if len(arena.colours) < 2:
         raise PreconditionViolation("need at least two colours in the arena")
     cond = at_least_two_colours(arena.colours)
     aut = parity_automaton(cond)
@@ -736,7 +732,7 @@ def two_state_memory_min2(arena: Arena, n_colours: Optional[int] = None
                     f" {arena.colours.symbols[avoid]!r}; the region is wrong")
         return done
 
-    chase = {x: chase_strategy(x) for x in range(g)}
+    chase = {x: chase_strategy(x) for x in range(len(arena.colours))}
     n_edges = len(arena.edges)
     row0 = [0] * n_edges
     row1 = [1] * n_edges

@@ -2,11 +2,10 @@
 between proper colourings and Rabin-expressible edge-alternation languages."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .core import (Alphabet, Automaton, MalformedInput, MullerAcceptance,
-                   MullerCondition, PropertyViolation, RabinAcceptance,
-                   ScaleGuard, is_integer)
+from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
+                   PropertyViolation, RabinAcceptance, is_integer)
 from .zielonka import ZielonkaTree, zielonka_tree
 
 MAX_VERTICES = 64
@@ -36,15 +35,6 @@ class SimpleGraph:
 
     def normalised_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted((min(u, v), max(u, v)) for u, v in self.edges))
-
-    def neighbours(self, v: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
 
 
 def parse_dimacs(text: str) -> SimpleGraph:
@@ -98,10 +88,9 @@ def graph_to_dimacs(graph: SimpleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _greedy_clique(graph: SimpleGraph) -> int:
+def _greedy_clique(adj: list[set[int]]) -> int:
     """Size of a clique found greedily by descending degree; a lower bound."""
-    adj = {v: graph.neighbours(v) for v in range(1, graph.n_vertices + 1)}
-    order = sorted(adj, key=lambda v: (-len(adj[v]), v))
+    order = sorted(range(1, len(adj)), key=lambda v: (-len(adj[v]), v))
     best = 1
     for start in order:
         clique = [start]
@@ -112,75 +101,53 @@ def _greedy_clique(graph: SimpleGraph) -> int:
     return best
 
 
-def _dsatur(graph: SimpleGraph) -> dict[int, int]:
-    """Greedy colouring by descending saturation; colours are 1-based."""
-    adj = {v: graph.neighbours(v) for v in range(1, graph.n_vertices + 1)}
-    colour: dict[int, int] = {}
-    while len(colour) < graph.n_vertices:
-        best_v = None
-        best_key = None
-        for v in range(1, graph.n_vertices + 1):
-            if v in colour:
-                continue
-            saturation = len({colour[u] for u in adj[v] if u in colour})
-            key = (saturation, len(adj[v]), -v)
-            if best_key is None or key > best_key:
-                best_key, best_v = key, v
-        taken = {colour[u] for u in adj[best_v] if u in colour}
-        c = 1
-        while c in taken:
-            c += 1
-        colour[best_v] = c
-    return colour
-
-
-def _colourable(graph: SimpleGraph, limit: int) -> dict[int, int] | None:
-    """Backtracking search for a proper colouring with at most limit colours.
-
-    New colours are introduced in order, which prunes colour permutations.
-    """
-    adj = {v: graph.neighbours(v) for v in range(1, graph.n_vertices + 1)}
-    order = sorted(adj, key=lambda v: (-len(adj[v]), v))
-    colour: dict[int, int] = {}
-
-    def rec(i: int, used: int) -> bool:
-        if i == len(order):
-            return True
-        # most saturated remaining vertex next
-        v = max((u for u in order if u not in colour),
-                key=lambda u: (len({colour[w] for w in adj[u] if w in colour}),
-                               len(adj[u]), -u))
-        taken = {colour[w] for w in adj[v] if w in colour}
-        for c in range(1, min(used + 1, limit) + 1):
-            if c in taken:
-                continue
-            colour[v] = c
-            if rec(i + 1, max(used, c)):
-                return True
-            del colour[v]
-        return False
-
-    if rec(0, 0):
-        return dict(colour)
-    return None
-
-
 def chromatic_number(graph: SimpleGraph) -> tuple[int, dict[int, int]]:
     """Exact chromatic number with a witnessing proper colouring.
 
-    A saturation-greedy colouring gives the upper bound, a greedy clique the
-    lower bound, and a branch-and-bound with symmetry breaking closes the gap.
+    One DSATUR branch and bound (Brelaz 1979): each node colours the most
+    saturated uncoloured vertex (ties by degree, then the smaller vertex)
+    with colours 1..used+1 that beat the incumbent, so colour permutations
+    are never revisited.  The first leaf is the greedy DSATUR colouring.
+    A node that already uses as many colours as the incumbent is cut, and
+    the search stops as soon as the incumbent meets a greedy clique.
     """
-    greedy = _dsatur(graph)
-    best = max(greedy.values())
-    witness = greedy
-    lower = _greedy_clique(graph)
-    while best > lower:
-        attempt = _colourable(graph, best - 1)
-        if attempt is None:
+    n = graph.n_vertices
+    adj: list[set[int]] = [set() for _ in range(n + 1)]
+    for u, v in graph.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    lower = _greedy_clique(adj)
+    colour = [0] * (n + 1)
+    best, witness = n + 1, {}
+    # one frame per coloured vertex: [vertex, colours used before it,
+    # colours its neighbours held then, its current colour]
+    path: list[list] = []
+    while True:
+        if len(path) == n:
+            best = max(colour)
+            witness = {v: colour[v] for v in range(1, n + 1)}
+            if best == lower:
+                break
+        else:
+            v = max((u for u in range(1, n + 1) if not colour[u]),
+                    key=lambda u: (len({colour[w] for w in adj[u]} - {0}),
+                                   len(adj[u]), -u))
+            used = max(colour)
+            path.append([v, used, {colour[w] for w in adj[v]}, 0])
+        # advance the deepest frame that still has a colour to try
+        while path:
+            frame = path[-1]
+            v, used, taken, c = frame
+            c += 1
+            while c in taken:
+                c += 1
+            if c <= used + 1 and max(used, c) < best:
+                frame[3] = colour[v] = c
+                break
+            colour[v] = 0
+            path.pop()
+        else:
             break
-        witness = attempt
-        best = max(attempt.values())
     return best, witness
 
 
@@ -226,29 +193,14 @@ def edge_alternation_automaton(graph: SimpleGraph) -> Automaton:
     """Rabin automaton whose accepted words eventually alternate blocks of
     the two endpoints of one edge.
 
-    One state per vertex (the last letter read); each transition outputs
-    "source:letter".  Every edge contributes one pair: see the crossing
-    transition from one endpoint to the other infinitely often, while only
-    ever staying inside the four transitions among the two endpoints.
+    It is the automaton of the discrete colouring, one state per vertex (the
+    last letter read), with the output "q:x" naming the state by its vertex.
     """
-    alphabet = vertex_alphabet(graph)
     n = graph.n_vertices
-    out_symbols = tuple(f"{q}:{x}" for q in range(1, n + 1)
-                        for x in range(1, n + 1))
-    out = Alphabet(out_symbols)
-
-    def colour_position(q: int, x: int) -> int:
-        return (q - 1) * n + (x - 1)
-
-    rows = tuple(tuple((x, colour_position(q, x + 1)) for x in range(n))
-                 for q in range(1, n + 1))
-    pairs = []
-    for u, v in graph.normalised_edges():
-        meet = 1 << colour_position(v, u)
-        keep = ((1 << colour_position(v, u)) | (1 << colour_position(u, v))
-                | (1 << colour_position(u, u)) | (1 << colour_position(v, v)))
-        pairs.append((meet, out.full_mask & ~keep))
-    return Automaton(n, 0, alphabet, out, rows, RabinAcceptance(tuple(pairs)))
+    aut = colouring_to_rabin(graph, {v: v for v in range(1, n + 1)})
+    renamed = Alphabet(tuple(f"{q}:{x}" for q in range(1, n + 1)
+                             for x in range(1, n + 1)))
+    return replace(aut, output_alphabet=renamed)
 
 
 def _parse_colouring(graph: SimpleGraph, colouring: dict[int, int]) -> list[int]:

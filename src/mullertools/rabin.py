@@ -17,6 +17,9 @@ from .core import (Alphabet, Automaton, MalformedInput, MullerAcceptance,
 from .graphs import SimpleGraph, chromatic_number
 from .zielonka import general_memory
 
+# most colours whose subsets a check may enumerate (cycle covers, accepting sets)
+MAX_COLOUR_BITS = 14
+
 
 @dataclass(frozen=True)
 class RabinTypenessReport:
@@ -206,7 +209,7 @@ def rabin_equivalent(a1: Automaton, a2: Automaton, *, max_states: int = 4000) ->
 
 
 def muller_equivalent(a1: Automaton, a2: Automaton, *,
-                      max_states: int = 200, max_colour_bits: int = 14) -> bool:
+                      max_states: int = 200) -> bool:
     """Language equality for any two acceptance kinds, by cycle enumeration.
 
     Labels each edge of the reachable synchronous product with the colours
@@ -220,9 +223,9 @@ def muller_equivalent(a1: Automaton, a2: Automaton, *,
         used1 |= c1
         used2 |= c2
     for used, label in ((used1, "left"), (used2, "right")):
-        if used.bit_count() > max_colour_bits:
+        if used.bit_count() > MAX_COLOUR_BITS:
             raise ScaleGuard(f"{label} side uses {used.bit_count()} colours,"
-                             f" limit {max_colour_bits}")
+                             f" limit {MAX_COLOUR_BITS}")
     shift = len(a1.output_alphabet)
     joint = [(src, dst, c1 | c2 << shift) for src, dst, c1, c2 in edges]
     left = (1 << shift) - 1
@@ -237,8 +240,9 @@ def acceptance_to_condition(aut: Automaton) -> MullerCondition:
     """Explicit accepting family of the automaton's acceptance, over the
     output colours that actually occur on transitions."""
     used = aut.used_output_bits()
-    if used.bit_count() > 14:
-        raise ScaleGuard(f"{used.bit_count()} used output colours, limit 14")
+    if used.bit_count() > MAX_COLOUR_BITS:
+        raise ScaleGuard(f"{used.bit_count()} used output colours,"
+                         f" limit {MAX_COLOUR_BITS}")
     family = [bits for bits in submasks(used)
               if accepting_colour_set(aut.acceptance, bits)]
     alphabet_positions = list(bit_indices(used))

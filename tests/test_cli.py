@@ -197,6 +197,8 @@ def test_colouring_pipeline(capsys, tmp_path):
     code4, out4, _ = run(capsys, "graph2rabin", str(graph_path))
     assert code4 == 0
     assert json.loads(out4)["states"] == 3
+    # the discrete-colouring automaton names its states by vertex, 1..n
+    assert json.loads(out4)["output"] == [f"{q}:{x}" for q in "123" for x in "123"]
 
 
 def test_solve_verify_memgame(capsys, tmp_path):
@@ -363,6 +365,21 @@ def test_automaton_reader_refuses_list_symbol(capsys, tmp_path, path):
     err = _refused(capsys, tmp_path, "rabincheck",
                    _replaced(automaton_to_json(aut), path, lambda symbol: [symbol]))
     assert "unknown symbol [" in err
+
+
+@pytest.mark.parametrize("acceptance", [
+    {"kind": "rabin", "pairs": [[1, ["1"]]]},
+    {"kind": "genbuchi", "sets": [1]},
+    {"kind": "genbuchi", "sets": ["01"]},
+], ids=["pair-number", "set-number", "set-string"])
+def test_automaton_reader_refuses_non_list_acceptance_sets(capsys, tmp_path, acceptance):
+    aut = build_automaton(initial=0, transitions={(0, "a"): (0, "0"), (0, "b"): (0, "1")},
+                          input_symbols="ab", output_symbols="01",
+                          acceptance=RabinAcceptance(((0b01, 0b10),)))
+    data = automaton_to_json(aut)
+    data["acceptance"] = acceptance
+    err = _refused(capsys, tmp_path, "rabincheck", data)
+    assert "list of lists" in err
 
 
 def test_solve_game_without_condition(capsys, tmp_path):

@@ -497,8 +497,6 @@ def test_two_state_memory_preconditions():
     hopeless = Arena(AB, (True,), 0, ((0, 0, 0),))
     with pytest.raises(PropertyViolation):
         two_state_memory_min2(hopeless)
-    with pytest.raises(MalformedInput):
-        two_state_memory_min2(adam_mediated_arena(), n_colours=5)
 
 
 def test_arena_json_roundtrip():

@@ -83,6 +83,21 @@ def test_chromatic_number_against_oracle():
             assert witness[u] != witness[v]
 
 
+@pytest.mark.parametrize("n, edges, expected", [
+    (11, ((1, 3), (1, 9), (1, 11), (2, 4), (2, 6), (2, 7), (2, 9), (2, 11),
+          (3, 5), (3, 6), (3, 7), (4, 10), (5, 6), (5, 8), (5, 9), (5, 10),
+          (6, 7), (6, 9), (6, 11), (7, 8), (7, 10), (8, 11)),
+     (4, [1, 2, 2, 3, 3, 1, 3, 1, 4, 1, 3])),
+    (7, ((1, 2), (1, 4), (1, 6), (2, 7), (3, 4), (3, 6), (3, 7)),
+     (3, [1, 2, 1, 2, 1, 2, 3])),
+], ids=["11-vertices", "7-vertices"])
+def test_chromatic_number_witness_is_pinned(n, edges, expected):
+    # a branch and bound that keeps descending below a node already using
+    # the incumbent's colour count returns another witness on both graphs
+    number, witness = chromatic_number(SimpleGraph(n, edges))
+    assert (number, [witness[v] for v in range(1, n + 1)]) == expected
+
+
 def test_graph_condition_tree_matches_general_builder():
     for graph in (P3, K3, C4, SimpleGraph(3, ()), SimpleGraph(2, ((1, 2),))):
         shortcut = graph_condition_tree(graph)
@@ -102,6 +117,16 @@ def test_edge_alternation_automaton_unit():
                     want = alternation_accepted(graph.normalised_edges(),
                                                 prefix, period)
                     assert accepts_up_word(aut, word) == want, (graph, word)
+
+
+def test_edge_alternation_automaton_is_discrete_colouring_automaton():
+    rng = random.Random(131)
+    for _ in range(60):
+        graph = random_graph(rng, rng.randint(1, 7))
+        aut = edge_alternation_automaton(graph)
+        discrete = colouring_to_rabin(
+            graph, {v: v for v in range(1, graph.n_vertices + 1)})
+        assert (aut.delta, aut.acceptance) == (discrete.delta, discrete.acceptance)
 
 
 def test_colouring_to_rabin_accepts_same_language():
