@@ -12,7 +12,7 @@ from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
                    alternating_children, condition_from_json,
                    condition_to_json, edge_component, is_integer,
                    strongly_connected_components, subcycles, zielonka_children)
-from .rabin import canonical_structures
+from .rabin import MAX_TABLE_CELLS, canonical_structures, min_rabin_size
 from .zielonka import parity_automaton
 
 
@@ -430,6 +430,16 @@ def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
     the first size admitting a verified winning pair is returned, or None
     when none up to max_size works; a size below 1 raises
     PreconditionViolation.
+
+    The condition restricted to the arena's colours bounds the answer: the
+    structure of a minimal Rabin automaton for it is a chromatic memory with
+    which the colour player wins every game over it that they win at all
+    (Casares 2021; it rests on the positionality of Rabin games, Klarlund
+    1994).  So at the size of that structure, as found by min_rabin_size,
+    one table search on it decides: the size when it wins, else None, since
+    then no memory wins.  Smaller sizes are still enumerated in full, and
+    sizes whose tables exceed the structure search's MAX_TABLE_CELLS are
+    only enumerated.
     """
     if max_size < 1:
         raise PreconditionViolation(f"state budget {max_size} is below 1")
@@ -440,7 +450,15 @@ def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
         raise ScaleGuard(f"{arena.n_vertices} vertices × {max_size} states"
                          f" = {arena.n_vertices * max_size}, limit 400")
     rejecting = _rejecting_sets(arena, cond)
+    own = MullerCondition(arena.colours, frozenset(
+        colours for colours in range(1, 1 << g) if colours not in rejecting[0]))
     for size in range(1, max_size + 1):
+        if size * g <= MAX_TABLE_CELLS:
+            bound, witness = min_rabin_size(own, size)
+            if bound == size:
+                update = tuple(tuple(target for target, _ in row) for row in witness.delta)
+                memory = MemoryStructure("chromatic", size, 0, update)
+                return size if _exists_winning_table(arena, memory, rejecting) else None
         for flat in canonical_structures(size, g):
             update = tuple(tuple(flat[m * g + c] for c in range(g))
                            for m in range(size))

@@ -5,10 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
-                   PropertyViolation, RabinAcceptance, is_integer)
+                   PropertyViolation, RabinAcceptance, ScaleGuard, is_integer)
 from .zielonka import ZielonkaTree, zielonka_tree
 
 MAX_VERTICES = 64
+# most vertex colourings the colouring search may try: a random 50-vertex
+# graph of edge density 1/2 needs about 5,000, while a 64-vertex one gave no
+# answer in 40 s (about 7,500 colourings a second on one core)
+MAX_COLOURING_NODES = 20000
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,9 @@ def chromatic_number(graph: SimpleGraph) -> tuple[int, dict[int, int]]:
     with colours 1..used+1 that beat the incumbent, so colour permutations
     are never revisited.  The first leaf is the greedy DSATUR colouring.
     A node that already uses as many colours as the incumbent is cut, and
-    the search stops as soon as the incumbent meets a greedy clique.
+    the search stops as soon as the incumbent meets a greedy clique.  A
+    search that colours a vertex more than MAX_COLOURING_NODES times raises
+    ScaleGuard.
     """
     n = graph.n_vertices
     adj: list[set[int]] = [set() for _ in range(n + 1)]
@@ -119,6 +125,7 @@ def chromatic_number(graph: SimpleGraph) -> tuple[int, dict[int, int]]:
     lower = _greedy_clique(adj)
     colour = [0] * (n + 1)
     best, witness = n + 1, {}
+    nodes = 0
     # one frame per coloured vertex: [vertex, colours used before it,
     # colours its neighbours held then, its current colour]
     path: list[list] = []
@@ -143,6 +150,10 @@ def chromatic_number(graph: SimpleGraph) -> tuple[int, dict[int, int]]:
                 c += 1
             if c <= used + 1 and max(used, c) < best:
                 frame[3] = colour[v] = c
+                nodes += 1
+                if nodes > MAX_COLOURING_NODES:
+                    raise ScaleGuard(f"colouring search explored {nodes} nodes,"
+                                     f" limit {MAX_COLOURING_NODES}")
                 break
             colour[v] = 0
             path.pop()

@@ -19,6 +19,8 @@ from .zielonka import general_memory
 
 # most colours whose subsets a check may enumerate (cycle covers, accepting sets)
 MAX_COLOUR_BITS = 14
+# most cells (states × letters) of a table the structure search may fill
+MAX_TABLE_CELLS = 36
 
 
 @dataclass(frozen=True)
@@ -467,10 +469,10 @@ def min_rabin_size(cond: MullerCondition, max_states: int, *,
     g = len(cond.alphabet)
     if g > 16:
         raise ScaleGuard(f"condition alphabet of {g} symbols, limit 16")
-    if max_states * g > 36:
+    if max_states * g > MAX_TABLE_CELLS:
         raise ScaleGuard(f"{max_states} states × {g} letters = {max_states * g}"
-                         " cells, limit 36; the structure search would not"
-                         " finish at desk scale")
+                         f" cells, limit {MAX_TABLE_CELLS}; the structure search"
+                         " would not finish at desk scale")
     acc = bytearray(bits in cond.accepting for bits in range(1 << g))
     swaps, conflicts = _letter_swaps(cond), _conflicts(cond)
     for k in range(_lower_bound(cond, conflicts), max_states + 1):

@@ -1,5 +1,6 @@
 """End-to-end command line checks, driven in process through main()."""
 import json
+import random
 import time
 
 import pytest
@@ -176,6 +177,27 @@ def test_chromatic_and_reduce_demo(capsys, tmp_path):
     demo = json.loads(out2)
     assert demo["match"] is True
     assert demo["min_rabin_size"] == 3
+
+
+def test_colouring_search_is_scale_guarded(capsys, tmp_path):
+    # G(n, 1/2): G(50) needs about 5,000 colouring nodes, while G(64) found
+    # no answer within 40 s before the search counted its nodes
+    def gnp(n):
+        rng = random.Random(5)
+        return SimpleGraph(n, tuple((u, v) for u in range(1, n + 1)
+                                    for v in range(u + 1, n + 1) if rng.random() < 0.5))
+
+    for n, code_wanted in ((50, 0), (64, 3)):
+        graph_path = tmp_path / f"g{n}.col"
+        graph_path.write_text(graph_to_dimacs(gnp(n)))
+        code, out, err = run(capsys, "chromatic", str(graph_path))
+        assert code == code_wanted
+        if code == 0:
+            assert json.loads(out)["chromatic_number"] == 10
+        else:
+            assert out == ""
+            assert err == ("scale guard: colouring search explored 20001 nodes,"
+                           " limit 20000\n")
 
 
 def test_colouring_pipeline(capsys, tmp_path):

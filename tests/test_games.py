@@ -17,6 +17,7 @@ from mullertools.games import (Arena, MemoryStructure, ParityGame,
                                solve_parity_game, strategy_from_json,
                                strategy_to_json, two_cycle_game,
                                two_state_memory_min2, verify_strategy)
+from mullertools.rabin import canonical_structures, min_rabin_size
 from mullertools.zielonka import general_memory, parity_automaton
 
 from generators import random_arena, random_condition, random_solvable_arena
@@ -453,6 +454,75 @@ def test_exhaustive_memory_matches_brute_force():
         assert found == brute_min_chromatic_memory(arena, cond, 2)
         answers.append(found)
     assert answers.count(1) > 20 and answers.count(2) > 3 and answers.count(None) > 20
+
+
+def memory_search_draws():
+    """Random (arena, condition, budget) triples for the memory search: half
+    with silent edges, some conditions over one letter beyond the arena's
+    colours, budgets up to 3 on 2 colours and up to 2 on 3 (the brute-force
+    oracle enumerates 3-state tables on 3 colours for up to a minute)."""
+    rng = random.Random(151)
+    for _ in range(120):
+        g = rng.choice((2, 3))
+        arena = random_arena(rng, rng.randint(2, 3), g, epsilon_free=rng.random() < 0.5)
+        cond = random_condition(rng, g + (rng.random() < 0.3))
+        if rng.random() < 0.5:  # mostly no single colour wins, so memory pays
+            cond = MullerCondition(cond.alphabet, frozenset(
+                s for s in cond.accepting if s.bit_count() >= 2 or rng.random() < 0.3))
+        yield arena, cond, rng.randint(1, 5 - g)
+
+
+def rabin_size_on_arena_colours(arena, cond, budget):
+    """Least Rabin structure size, up to budget, of the condition as it
+    judges sets of the arena's colours."""
+    symbols = arena.colours.symbols
+    g = len(symbols)
+    own = MullerCondition(arena.colours, frozenset(
+        s for s in range(1, 1 << g)
+        if cond.admits(cond.alphabet.bits(symbols[c] for c in range(g) if s >> c & 1))))
+    return min_rabin_size(own, budget)[0]
+
+
+def test_exhaustive_memory_matches_brute_force_on_both_theorem_paths():
+    # at the least Rabin structure size r of the condition, one table search
+    # on that structure answers r when it wins and None when it loses
+    paths = {"wins": [], "loses": []}  # r of each draw that takes the path
+    for arena, cond, budget in memory_search_draws():
+        found = min_chromatic_memory_exhaustive(arena, cond, budget)
+        assert found == brute_min_chromatic_memory(arena, cond, budget)
+        r = rabin_size_on_arena_colours(arena, cond, budget)
+        if r is not None and found == r:
+            paths["wins"].append(r)
+        elif r is not None and found is None:
+            paths["loses"].append(r)
+    for sizes in paths.values():
+        assert len(sizes) >= 5 and max(sizes) >= 2
+
+
+def test_exhaustive_memory_none_agrees_with_solver():
+    checked = 0
+    for arena, cond, budget in memory_search_draws():
+        if rabin_size_on_arena_colours(arena, cond, budget) is None:
+            continue
+        winner, _, _ = solve_muller_game(arena, cond)
+        found = min_chromatic_memory_exhaustive(arena, cond, budget)
+        assert (found is None) == (winner == "adam")
+        checked += 1
+    assert checked >= 50
+
+
+def test_separation_game_draws_no_three_state_table(monkeypatch):
+    import mullertools.games as games
+    sizes = []
+
+    def counted(num_states, num_letters):
+        for flat in canonical_structures(num_states, num_letters):
+            sizes.append(num_states)
+            yield flat
+
+    monkeypatch.setattr(games, "canonical_structures", counted)
+    assert min_chromatic_memory_exhaustive(separation_game(), separation_condition(), 3) == 3
+    assert len(sizes) == 57 and 3 not in sizes
 
 
 def test_memory_search_sees_cycles_behind_the_choice():
