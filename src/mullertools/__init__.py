@@ -12,7 +12,8 @@ from .core import (Alphabet, Automaton, GenBuchiAcceptance, GenCoBuchiAcceptance
                    realizable_cycle_sets)
 from .games import (Arena, MemoryStructure, StrategyTable, arena_from_json,
                     arena_to_json, at_least_two_colours, exactly_two_colours,
-                    min_chromatic_memory_exhaustive, product_with_parity,
+                    min_chromatic_memory_exhaustive, muller_regions,
+                    product_with_parity,
                     separation_chromatic_memory, separation_condition,
                     separation_game, separation_general_memory,
                     solve_muller_game, solve_parity_game, strategy_from_json,

@@ -3,8 +3,9 @@ synthesis and verification, and searches for small memory structures."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import chain
+from operator import or_
 from typing import Optional
 
 from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
@@ -13,7 +14,7 @@ from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
                    condition_to_json, edge_component, is_integer,
                    strongly_connected_components, subcycles, zielonka_children)
 from .rabin import MAX_TABLE_CELLS, canonical_structures, min_rabin_size
-from .zielonka import parity_automaton
+from .zielonka import check_tree_alphabet, parity_automaton
 
 
 @dataclass(frozen=True)
@@ -332,25 +333,117 @@ def product_with_parity(arena: Arena, aut: Automaton) -> ParityProduct:
 # ---------------------------------------------------------------------------
 # Solving games with an explicit Muller condition on the colours.
 
+def _check_colours(arena: Arena, cond: MullerCondition) -> None:
+    for sym in arena.colours.symbols:
+        if sym not in cond.alphabet:
+            raise MalformedInput(f"arena colour {sym!r} missing from the condition")
+
+
+def muller_regions(arena: Arena, cond: MullerCondition
+                   ) -> tuple[frozenset[int], frozenset[int]]:
+    """Winning regions of the colour player and of the opponent over the
+    arena's own vertices, decided with no product by Zielonka's recursion
+    guided by the condition's tree (Zielonka 1998; Dziembowski, Jurdziński
+    and Walukiewicz 1997).
+
+    A subgame is a vertex set with a tree label; its edges are those between
+    its vertices whose colours lie in the label (silent edges always).  It
+    moves down to the deepest node whose label holds the colours of its
+    edges.  That node's player, the colour player when the node accepts,
+    wins every play whose colours lie in no child label.  So, child by
+    child, the part the opponent wins of what that player's attractor to the
+    edges coloured outside the child leaves, solved under the child's label,
+    is the opponent's, with the opponent's attractor to it; once no child
+    leaves the opponent anything, the node's player wins the rest.  Each
+    recursive call goes to a strict sub-label, so the recursion is at most
+    as deep as the condition has letters, 16 behind the tree's scale guard.
+    """
+    _check_colours(arena, cond)
+    check_tree_alphabet(cond)
+    accepts = cond.accepting.__contains__
+    bit = [cond.alphabet.bit(sym) for sym in arena.colours.symbols]
+    owner = [0 if eve else 1 for eve in arena.eve]
+    out = [arena.out_edges(v) for v in range(arena.n_vertices)]
+    src, dst, colours = zip(*((s, d, 0 if c is None else bit[c])
+                              for s, d, c in arena.edges))
+    into: list[list[int]] = [[] for _ in owner]
+    for e, w in enumerate(dst):
+        into[w].append(e)
+    split = cache(lambda label: zielonka_children(label, accepts))
+
+    def attract(player: int, vertices: set[int], label: int, attr: set[int],
+                seeds: list[int], below: int) -> None:
+        """Grow attr, inside the subgame (vertices, label), by the player's
+        attractor to it and to the seed edges: each seed edge in turn, then
+        the subgame edges coloured within below into each vertex of attr,
+        as it joins.  Every edge counts once towards its source, so no seed
+        may be coloured within below."""
+        left: dict[int, int] = {}  # subgame edges of an opponent vertex not yet counted
+        joined = list(attr)
+        behind = (e for w in joined for e in into[w] if not colours[e] & ~below)
+        for e in chain(seeds, behind):  # joined grows while behind reads it
+            u = src[e]
+            if u not in vertices or u in attr:
+                continue
+            if owner[u] != player:
+                if u not in left:
+                    left[u] = sum(1 for f in out[u]
+                                  if dst[f] in vertices and not colours[f] & ~label)
+                left[u] -= 1
+                if left[u]:
+                    continue
+            attr.add(u)
+            joined.append(u)
+
+    def solve(vertices: set[int], label: int) -> list[set[int]]:
+        """[colour player's region, opponent's region] of the subgame."""
+        regions: list[set[int]] = [set(), set()]
+        while vertices:
+            inside = [e for v in vertices for e in out[v]
+                      if dst[e] in vertices and not colours[e] & ~label]
+            used = reduce(or_, (colours[e] for e in inside), 0)
+            while holding := [c for c in split(label) if not used & ~c]:
+                label = holding[0]  # down to the deepest node holding used
+            mine = 0 if accepts(label) else 1
+            for child in split(label):
+                attr: set[int] = set()
+                attract(mine, vertices, label, attr,
+                        [e for e in inside if colours[e] & ~child], child)
+                lost = solve(vertices - attr, child)[1 - mine]
+                if lost:
+                    attract(1 - mine, vertices, label, lost, [], label)
+                    vertices = vertices - lost
+                    regions[1 - mine] |= lost
+                    break
+            else:
+                regions[mine] |= vertices
+                break
+        return regions
+
+    eve_region, adam_region = solve(set(range(arena.n_vertices)), cond.alphabet.full_mask)
+    return frozenset(eve_region), frozenset(adam_region)
+
+
 def solve_muller_game(arena: Arena, cond: MullerCondition):
     """Winner from the initial vertex and, when the colour player wins, a
     strategy built on the colour-tracking memory of the condition's parity
     automaton.
 
     Returns (winner, memory, table) with memory and table set to None when
-    the opponent wins.  The memory is chromatic: its states are the states of
-    the parity automaton for the condition and it advances by reading colours.
-    The table lists a move only for the (vertex, memory state) pairs of the
-    colour player's winning region in the reachable product.
+    the opponent wins.  The winner is decided on the arena by muller_regions;
+    the parity automaton and its reachable product are built only for a
+    colour player's win.  The memory is chromatic: its states are the states
+    of the parity automaton for the condition and it advances by reading
+    colours.  The table lists a move only for the (vertex, memory state)
+    pairs of the colour player's winning region in the reachable product.
     """
-    for sym in arena.colours.symbols:
-        if sym not in cond.alphabet:
-            raise MalformedInput(f"arena colour {sym!r} missing from the condition")
+    if arena.initial not in muller_regions(arena, cond)[0]:
+        return "adam", None, None
     aut = parity_automaton(cond)
     product = product_with_parity(arena, aut)
     solution = solve_parity_game(product.game)
     if product.game.initial not in solution.eve_region:
-        return "adam", None, None
+        raise RuntimeError("the parity product contradicts muller_regions")
     nq = aut.n_states
     remap = [aut.input_alphabet.position(sym) for sym in arena.colours.symbols]
     update = tuple(tuple(aut.delta[m][remap[c]][0] for c in range(len(arena.colours)))
@@ -391,9 +484,7 @@ def verify_strategy(arena: Arena, cond: MullerCondition,
     """
     if not memory.width_matches(arena):
         raise MalformedInput("memory update width does not match the arena")
-    for sym in arena.colours.symbols:
-        if sym not in cond.alphabet:
-            raise MalformedInput(f"arena colour {sym!r} missing from the condition")
+    _check_colours(arena, cond)
     # the (vertex, memory) graph reachable under the table, breadth first
     start = (arena.initial, memory.initial)
     index: dict[tuple[int, int], int] = {start: 0}
@@ -429,7 +520,8 @@ def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
     depth-first search over strategy tables on the reachable configurations;
     the first size admitting a verified winning pair is returned, or None
     when none up to max_size works; a size below 1 raises
-    PreconditionViolation.
+    PreconditionViolation.  A game the colour player loses, as decided by
+    muller_regions, is answered None before any table is drawn.
 
     The condition restricted to the arena's colours bounds the answer: the
     structure of a minimal Rabin automaton for it is a chromatic memory with
@@ -452,6 +544,8 @@ def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
     rejecting = _rejecting_sets(arena, cond)
     own = MullerCondition(arena.colours, frozenset(
         colours for colours in range(1, 1 << g) if colours not in rejecting[0]))
+    if arena.initial in muller_regions(arena, own)[1]:
+        return None
     for size in range(1, max_size + 1):
         if size * g <= MAX_TABLE_CELLS:
             bound, witness = min_rabin_size(own, size)
@@ -701,12 +795,7 @@ def two_state_memory_min2(arena: Arena) -> tuple[MemoryStructure, StrategyTable]
         raise PreconditionViolation("arena must have no silent edges")
     if len(arena.colours) < 2:
         raise PreconditionViolation("need at least two colours in the arena")
-    cond = at_least_two_colours(arena.colours)
-    aut = parity_automaton(cond)
-    product = product_with_parity(arena, aut)
-    solution = solve_parity_game(product.game)
-    region = {v for v in range(arena.n_vertices)
-              if product.vertex(v, aut.initial) in solution.eve_region}
+    region = muller_regions(arena, at_least_two_colours(arena.colours))[0]
     if arena.initial not in region:
         raise PropertyViolation("the colour player loses from the initial vertex")
     inside: dict[int, list[int]] = {}

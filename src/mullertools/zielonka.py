@@ -36,7 +36,9 @@ class ZielonkaTree:
         return self.alphabet.names(self.label)
 
 
-def _check_alphabet(cond: MullerCondition) -> None:
+def check_tree_alphabet(cond: MullerCondition) -> None:
+    """Scale guard of every construction that enumerates the condition's
+    letter subsets."""
     if len(cond.alphabet) > 16:
         raise ScaleGuard(f"tree construction enumerates subsets; alphabet of"
                          f" {len(cond.alphabet)} symbols, limit 16")
@@ -44,7 +46,7 @@ def _check_alphabet(cond: MullerCondition) -> None:
 
 def zielonka_tree(cond: MullerCondition) -> ZielonkaTree:
     """Build the alternating-subset tree of an explicit Muller condition."""
-    _check_alphabet(cond)
+    check_tree_alphabet(cond)
     labels: dict[int, list[int]] = {}  # a label recurs under many parents
 
     def build(label: int, accepting: bool) -> ZielonkaTree:
@@ -99,7 +101,7 @@ def memory_requirements(cond: MullerCondition) -> MemoryRequirements:
     over the children at an accepting node and their maximum at a rejecting
     one.  The tree's height is the number of priorities.
     """
-    _check_alphabet(cond)
+    check_tree_alphabet(cond)
     memo: dict[int, tuple[int, int, bool]] = {}  # label: memory, height, no branching
 
     def numbers(label: int) -> tuple[int, int, bool]:

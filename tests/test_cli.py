@@ -7,11 +7,11 @@ import pytest
 
 from mullertools import cli
 from mullertools.cli import main
-from mullertools.core import (GenBuchiAcceptance, MullerAcceptance,
+from mullertools.core import (Alphabet, GenBuchiAcceptance, MullerAcceptance,
                               MullerCondition, ParityAcceptance,
                               RabinAcceptance, automaton_to_json,
                               build_automaton, condition_to_json)
-from mullertools.games import (arena_to_json, separation_condition,
+from mullertools.games import (Arena, arena_to_json, separation_condition,
                                separation_game, strategy_to_json,
                                separation_chromatic_memory, two_cycle_game,
                                at_least_two_colours)
@@ -402,6 +402,32 @@ def test_automaton_reader_refuses_non_list_acceptance_sets(capsys, tmp_path, acc
     data["acceptance"] = acceptance
     err = _refused(capsys, tmp_path, "rabincheck", data)
     assert "list of lists" in err
+
+
+def lost_game(symbols):
+    """One opponent vertex looping on a, as JSON with a condition over
+    symbols that accepts only the set of all of them: with two symbols or
+    more, the colour player loses."""
+    arena = Arena(Alphabet(("a",)), (False,), 0, ((0, 0, 0),))
+    return arena_to_json(arena, MullerCondition.make(symbols, [symbols]))
+
+
+def test_solve_wide_condition_is_refused_before_the_winner(capsys, tmp_path):
+    # the colour player loses, yet the tree's guard still speaks first
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(lost_game([chr(ord("a") + i) for i in range(17)])))
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out) == (3, "")
+    assert err == ("scale guard: tree construction enumerates subsets;"
+                   " alphabet of 17 symbols, limit 16\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "memgame"])
+def test_missing_arena_colour_is_refused_on_a_lost_game(capsys, tmp_path, command):
+    game = lost_game(["a", "b"])
+    game["edges"].append({"from": 0, "to": 0, "colour": "z"})
+    err = _refused(capsys, tmp_path, command, game)
+    assert "'z'" in err
 
 
 def test_solve_game_without_condition(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Arenas, parity solving, Muller game strategies and memory structures."""
 import random
+from math import prod
 
 import pytest
 
@@ -10,7 +11,7 @@ from mullertools.games import (Arena, MemoryStructure, ParityGame,
                                StrategyTable, _exists_winning_table,
                                _rejecting_sets, arena_from_json, arena_to_json,
                                at_least_two_colours, exactly_two_colours,
-                               min_chromatic_memory_exhaustive,
+                               min_chromatic_memory_exhaustive, muller_regions,
                                product_with_parity, separation_chromatic_memory,
                                separation_condition, separation_game,
                                separation_general_memory, solve_muller_game,
@@ -272,6 +273,16 @@ def test_solve_muller_game_adam_wins():
     assert memory is None and table is None
 
 
+def test_solve_refuses_a_missing_colour_before_the_tree_guard():
+    arena = Arena(AB, (False,), 0, ((0, 0, 0), (0, 0, 1)))
+    wide = Alphabet(tuple("bcdefghijklmnopqr"))  # 17 letters, no a
+    with pytest.raises(MalformedInput, match="arena colour 'a' missing"):
+        solve_muller_game(arena, MullerCondition(wide, frozenset()))
+    with pytest.raises(ScaleGuard, match="alphabet of 18 symbols, limit 16"):
+        solve_muller_game(arena, MullerCondition(Alphabet(("a",) + wide.symbols),
+                                                 frozenset()))
+
+
 def test_solver_strategies_verify_on_random_arenas():
     rng = random.Random(107)
     for _ in range(25):
@@ -287,14 +298,64 @@ def test_muller_game_determinacy():
     # swapping owners and complementing the condition swaps the winner
     from mullertools.core import complement_condition
     rng = random.Random(109)
-    for _ in range(20):
-        arena = random_arena(rng, rng.choice((2, 3, 4)), 2)
+    for _ in range(60):
+        arena = random_arena(rng, rng.randint(1, 10), rng.randint(2, 5))
         cond = exactly_two_colours(arena.colours)
         winner, _, _ = solve_muller_game(arena, cond)
         flipped = Arena(arena.colours, tuple(not e for e in arena.eve),
                         arena.initial, arena.edges)
         other, _, _ = solve_muller_game(flipped, complement_condition(cond))
         assert (winner == "eve") == (other == "adam")
+
+
+# Vertex 0 belongs to eve and moves to 1 with colour a; vertex 1 belongs to
+# adam, who loops on b (rejecting) or returns with a.  Eve's attractor to the
+# a-edges, the colours outside the child {b}, holds vertex 0 through the edge
+# 0 -a-> 1.  Counting the seed edge 1 -a-> 0 once as a seed and again when
+# vertex 0 joins pulls vertex 1 in, and eve would win everywhere.
+DOUBLE_COUNT_ARENA = Arena(AB, (True, False), 0, ((0, 1, 0), (1, 1, 1), (1, 0, 0)))
+
+
+def muller_draws(rng, count):
+    """Random arenas of 1-12 vertices over 1-6 colours, silent edges in half,
+    and random conditions, a fifth of them over one letter more."""
+    for _ in range(count):
+        g = rng.randint(1, 6)
+        arena = random_arena(rng, rng.randint(1, 12), g, epsilon_free=rng.random() < 0.5)
+        yield arena, random_condition(rng, g + (rng.random() < 0.2))
+
+
+def test_muller_regions_match_the_parity_product():
+    # the regions decided on the arena against the parity solution of the
+    # reachable product and, where positional strategies of the full product
+    # are few enough to enumerate, against the enumeration
+    rng = random.Random(157)
+    draws = [(DOUBLE_COUNT_ARENA, MullerCondition(AB, frozenset({0b01, 0b11})))]
+    draws += muller_draws(rng, 2000)
+    enumerated, winners = 0, []
+    for arena, cond in draws:
+        eve, adam = muller_regions(arena, cond)
+        vertices = range(arena.n_vertices)
+        assert eve | adam == set(vertices) and not eve & adam
+        aut = parity_automaton(cond)
+        product = product_with_parity(arena, aut)
+        solution = solve_parity_game(product.game)
+        assert eve == {v for v in vertices
+                       if product.vertex(v, aut.initial) in solution.eve_region}
+        winners.append(arena.initial in eve)
+        if arena.n_vertices > 5:
+            continue
+        full = full_parity_product(arena, aut)
+        out_edges = [list(full.out_edges(node)) for node in range(len(full.eve))]
+        if prod(map(len, out_edges)) > 512:
+            continue
+        enumerated += 1
+        for v in vertices:
+            start = v * aut.n_states + aut.initial
+            assert (v in eve) == positional_parity_winner(full.eve, full.edges,
+                                                          out_edges, start)
+    assert muller_regions(*draws[0]) == (frozenset(), frozenset({0, 1}))
+    assert enumerated >= 300 and 600 < winners.count(True) < 1400
 
 
 def test_verify_strategy_rejects_losing_table():
@@ -500,13 +561,16 @@ def test_exhaustive_memory_matches_brute_force_on_both_theorem_paths():
 
 
 def test_exhaustive_memory_none_agrees_with_solver():
+    # graded by the parity product, not by muller_regions, which the memory
+    # search itself calls
     checked = 0
     for arena, cond, budget in memory_search_draws():
         if rabin_size_on_arena_colours(arena, cond, budget) is None:
             continue
-        winner, _, _ = solve_muller_game(arena, cond)
+        product = product_with_parity(arena, parity_automaton(cond))
+        won = product.game.initial in solve_parity_game(product.game).eve_region
         found = min_chromatic_memory_exhaustive(arena, cond, budget)
-        assert (found is None) == (winner == "adam")
+        assert (found is None) == (not won)
         checked += 1
     assert checked >= 50
 
@@ -523,6 +587,26 @@ def test_separation_game_draws_no_three_state_table(monkeypatch):
     monkeypatch.setattr(games, "canonical_structures", counted)
     assert min_chromatic_memory_exhaustive(separation_game(), separation_condition(), 3) == 3
     assert len(sizes) == 57 and 3 not in sizes
+
+
+def test_lost_game_draws_no_table(monkeypatch):
+    # the opponent picks a single colour forever, so the colour player loses
+    # with any memory; the condition's least Rabin structure has three
+    # states, so without deciding the winner first sizes 1 and 2 would be
+    # enumerated in full
+    import mullertools.games as games
+    drawn = []
+
+    def counted(num_states, num_letters):
+        for flat in canonical_structures(num_states, num_letters):
+            drawn.append(flat)
+            yield flat
+
+    monkeypatch.setattr(games, "canonical_structures", counted)
+    abc = Alphabet(("a", "b", "c"))
+    arena = Arena(abc, (False,), 0, ((0, 0, 0), (0, 0, 1), (0, 0, 2)))
+    assert min_chromatic_memory_exhaustive(arena, at_least_two_colours(abc), 4) is None
+    assert drawn == []
 
 
 def test_memory_search_sees_cycles_behind_the_choice():
