@@ -14,7 +14,7 @@ from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
                    condition_to_json, edge_component, is_integer,
                    strongly_connected_components, subcycles, zielonka_children)
 from .rabin import MAX_TABLE_CELLS, canonical_structures, min_rabin_size
-from .zielonka import check_tree_alphabet, parity_automaton
+from .zielonka import MAX_TREE_LETTERS, check_tree_alphabet, parity_automaton
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,8 @@ class ParityProduct:
         return self.index.get((arena_vertex, automaton_state))
 
 
-def product_with_parity(arena: Arena, aut: Automaton) -> ParityProduct:
+def product_with_parity(arena: Arena, aut: Automaton,
+                        region: Optional[frozenset[int]] = None) -> ParityProduct:
     """Expand an arena with the state of a parity automaton reading the
     produced colours; silent edges keep the state and carry the automaton's
     minimum priority, which never decides a cycle.
@@ -301,19 +302,31 @@ def product_with_parity(arena: Arena, aut: Automaton) -> ParityProduct:
     order.  It is closed under successors, so winning regions read off it
     are those of the full product, and every arena vertex can be read at
     the automaton's initial state.
+
+    Given a region, which must hold the initial vertex, the seeds are its
+    vertices only and every arena edge leaving the region is left out, so
+    the product is that of the subarena on the region.  Each vertex of the
+    region then needs an edge staying in it, as in the colour player's
+    winning region: the opponent's vertices keep all their edges there, and
+    hers keep at least one.
     """
     if aut.acceptance.kind != "parity":
         raise PreconditionViolation("product needs a parity automaton")
     remap = [aut.input_alphabet.position(sym) for sym in arena.colours.symbols]
     priorities = aut.acceptance.priorities
     neutral = min(priorities)
-    pairs = [(v, aut.initial) for v in range(arena.n_vertices)]
+    if region is not None and arena.initial not in region:
+        raise PreconditionViolation(f"region lacks the initial vertex {arena.initial}")
+    seeds = range(arena.n_vertices) if region is None else sorted(region)
+    pairs = [(v, aut.initial) for v in seeds]
     index = {pair: i for i, pair in enumerate(pairs)}
     edges: list[tuple[int, int, int]] = []
     origin: list[int] = []
     for src, (v, q) in enumerate(pairs):  # pairs grows as new ones are found
         for e in arena.out_edges(v):
             _, dst, colour = arena.edges[e]
+            if region is not None and dst not in region:
+                continue
             if colour is None:
                 q2, priority = q, neutral
             else:
@@ -431,28 +444,49 @@ def solve_muller_game(arena: Arena, cond: MullerCondition):
 
     Returns (winner, memory, table) with memory and table set to None when
     the opponent wins.  The winner is decided on the arena by muller_regions;
-    the parity automaton and its reachable product are built only for a
-    colour player's win.  The memory is chromatic: its states are the states
-    of the parity automaton for the condition and it advances by reading
-    colours.  The table lists a move only for the (vertex, memory state)
-    pairs of the colour player's winning region in the reachable product.
+    for a colour player's win, the product with the condition's parity
+    automaton is built over her region only, where she wins every pair, and
+    solved.  A walk from the initial pair then follows the solver's choices
+    for her and every edge for the opponent, silent edges keeping the
+    automaton state.  The memory is chromatic: its states are the automaton
+    states the walk visits, numbered in order of first visit, and it
+    advances by reading colours as the automaton does; a colour whose
+    target the walk never visits keeps the state, and no play from the
+    initial configuration reads it.  The table lists one move for each
+    colour-player configuration the walk visits.
     """
-    if arena.initial not in muller_regions(arena, cond)[0]:
+    region = muller_regions(arena, cond)[0]
+    if arena.initial not in region:
         return "adam", None, None
     aut = parity_automaton(cond)
-    product = product_with_parity(arena, aut)
+    product = product_with_parity(arena, aut, region)
     solution = solve_parity_game(product.game)
     if product.game.initial not in solution.eve_region:
         raise RuntimeError("the parity product contradicts muller_regions")
-    nq = aut.n_states
     remap = [aut.input_alphabet.position(sym) for sym in arena.colours.symbols]
-    update = tuple(tuple(aut.delta[m][remap[c]][0] for c in range(len(arena.colours)))
-                   for m in range(nq))
-    memory = MemoryStructure("chromatic", nq, aut.initial, update)
-    # a play from the initial pair that follows the solver's choices stays in
-    # the winning region, so the pairs outside it are never read
-    moves = {pair: product.edge_origin[solution.eve_strategy[node]]
-             for pair, node in product.index.items() if node in solution.eve_strategy}
+    states = {aut.initial: 0}  # automaton state -> memory state, by first visit
+    moves: dict[tuple[int, int], int] = {}
+    start = (arena.initial, aut.initial)
+    seen = {start}
+    queue = [start]
+    for v, q in queue:  # queue grows as configurations are found
+        if arena.eve[v]:
+            chosen = product.edge_origin[solution.eve_strategy[product.index[(v, q)]]]
+            moves[(v, states[q])] = chosen
+            options: tuple[int, ...] = (chosen,)
+        else:
+            options = arena.out_edges(v)
+        for e in options:
+            _, dst, colour = arena.edges[e]
+            key = (dst, q if colour is None else aut.delta[q][remap[colour]][0])
+            if key not in seen:
+                seen.add(key)
+                queue.append(key)
+                states.setdefault(key[1], len(states))
+    update = tuple(tuple(states.get(aut.delta[q][remap[c]][0], m)
+                         for c in range(len(arena.colours)))
+                   for q, m in states.items())
+    memory = MemoryStructure("chromatic", len(states), 0, update)
     return "eve", memory, StrategyTable.from_dict(moves)
 
 
@@ -466,8 +500,9 @@ def _all_cycles_accepting(cond: MullerCondition, arena: Arena, edges) -> bool:
     accepts = cond.accepting.__contains__
     split = cache(lambda colours: zielonka_children(colours, accepts))
     for _, cover, internal in subcycles(labelled, -1):
-        if cover.bit_count() > 14:
-            raise ScaleGuard(f"{cover.bit_count()} colours in one component, limit 14")
+        if cover.bit_count() > MAX_TREE_LETTERS:
+            raise ScaleGuard(f"{cover.bit_count()} colours in one component,"
+                             f" limit {MAX_TREE_LETTERS}")
         if not accepts(cover) or alternating_children(internal, cover, accepts, split):
             return False
     return True

@@ -3,6 +3,7 @@ equivalence and the search for the smallest transition structure that makes
 an explicit Muller condition Rabin-expressible."""
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from operator import or_
@@ -422,10 +423,11 @@ def _find_structure(k: int, g: int, acc: bytearray, swaps: list[tuple[int, int]]
         if max(row, default=0) == k - 1 and all(row[a] != row[b] for a, b in conflicts):
             for flat in _tables(k, g, row * k, check):
                 return flat
-    if threads > 1 and k * g > 6:
+    workers = min(threads, len(rows), os.cpu_count() or 1)
+    if workers > 1 and k * g > 6:
         import multiprocessing
 
-        with multiprocessing.Pool(threads) as pool:
+        with multiprocessing.Pool(workers) as pool:
             jobs = [(k, g, bytes(acc), row) for row in rows]
             for result in pool.imap(_search_worker, jobs):
                 if result is not None:
@@ -450,8 +452,10 @@ def min_rabin_size(cond: MullerCondition, max_states: int, *,
     letter-determined table, else the lexicographically first typeable one.
     Typeness is checked after every filled cell; first rows that a
     family-preserving swap of two letters makes smaller are skipped, and
-    threads > 1 splits the kept first rows over worker processes.  Returns (None, None) when no structure up to
-    max_states works; a budget below 1 raises PreconditionViolation.
+    threads > 1 splits the kept first rows over worker processes, at most
+    one per row and per CPU.  Returns (None, None) when no structure up to
+    max_states works; a budget or a thread count below 1 raises
+    PreconditionViolation.
 
     The bound b is the larger of two lower bounds, and a budget below it
     returns (None, None) without searching.  Call letters x and y
@@ -466,6 +470,8 @@ def min_rabin_size(cond: MullerCondition, max_states: int, *,
     """
     if max_states < 1:
         raise PreconditionViolation(f"state budget {max_states} is below 1")
+    if threads < 1:
+        raise PreconditionViolation(f"thread count {threads} is below 1")
     g = len(cond.alphabet)
     if g > 16:
         raise ScaleGuard(f"condition alphabet of {g} symbols, limit 16")

@@ -36,12 +36,15 @@ class ZielonkaTree:
         return self.alphabet.names(self.label)
 
 
+MAX_TREE_LETTERS = 16
+
+
 def check_tree_alphabet(cond: MullerCondition) -> None:
     """Scale guard of every construction that enumerates the condition's
     letter subsets."""
-    if len(cond.alphabet) > 16:
+    if len(cond.alphabet) > MAX_TREE_LETTERS:
         raise ScaleGuard(f"tree construction enumerates subsets; alphabet of"
-                         f" {len(cond.alphabet)} symbols, limit 16")
+                         f" {len(cond.alphabet)} symbols, limit {MAX_TREE_LETTERS}")
 
 
 def zielonka_tree(cond: MullerCondition) -> ZielonkaTree:

@@ -517,6 +517,13 @@ def test_threads_flag(capsys, cond_file):
     assert json.loads(out)["chromatic_memory"] == 2
 
 
+def test_threads_below_one_exit_two(capsys, cond_file):
+    for threads in ("0", "-1"):
+        code, out, err = run(capsys, "memchrom", cond_file, "--threads", threads)
+        assert code == 2 and out == ""
+        assert err.strip() == f"error: thread count {threads} is below 1"
+
+
 def test_rabincheck_names_the_witness_sets(capsys, tmp_path):
     cond = MullerCondition.make(("1", "2", "3"), [("1", "2"), ("1", "3"), ("2", "3")])
     aut = build_automaton(initial=0, transitions={(0, s): (0, s) for s in "123"},

@@ -1,5 +1,6 @@
 """Arenas, parity solving, Muller game strategies and memory structures."""
 import random
+import time
 from math import prod
 
 import pytest
@@ -226,7 +227,33 @@ def test_reachable_product_matches_full_product():
     assert 30 < winners.count("eve") < 120
 
 
+def solve_walk(arena, memory, table, aut):
+    """Breadth-first walk of the configurations that a play from (initial,
+    0) reaches under the table: the configurations in order of discovery
+    and the automaton state that each memory state met stands for, checked
+    to be one state per memory state."""
+    letter = [aut.input_alphabet.position(sym) for sym in arena.colours.symbols]
+    stands_for = {0: aut.initial}
+    queue = [(arena.initial, 0)]
+    for v, m in queue:
+        q = stands_for[m]
+        options = [table.move(v, m)] if arena.eve[v] else arena.out_edges(v)
+        for e in options:
+            _, dst, colour = arena.edges[e]
+            m2 = memory.step(m, e, colour)
+            q2 = q if colour is None else aut.delta[q][letter[colour]][0]
+            assert stands_for.setdefault(m2, q2) == q2
+            if (dst, m2) not in queue:
+                queue.append((dst, m2))
+    assert len(set(stands_for.values())) == len(stands_for)
+    return queue, stands_for
+
+
 def test_solve_table_lists_only_winning_pairs():
+    # the table holds a move exactly for the colour-player configurations
+    # that a play from (initial, 0) reaches under it, the memory only the
+    # automaton states that such plays meet, numbered in order of first
+    # visit, and each move is the solver's choice on the region product
     rng = random.Random(137)
     wins = 0
     for _ in range(60):
@@ -236,15 +263,62 @@ def test_solve_table_lists_only_winning_pairs():
         if winner != "eve":
             continue
         wins += 1
-        product = product_with_parity(arena, parity_automaton(cond))
+        aut = parity_automaton(cond)
+        product = product_with_parity(arena, aut, muller_regions(arena, cond)[0])
         solution = solve_parity_game(product.game)
-        owned = {pair: node for pair, node in product.index.items()
-                 if product.game.eve[node] and node in solution.eve_region}
-        assert {(v, m) for v, m, _ in table.moves} == set(owned)
-        for (v, m), node in owned.items():
+        reached, stands_for = solve_walk(arena, memory, table, aut)
+        owned = [(v, m) for v, m in reached if arena.eve[v]]
+        assert sorted((v, m) for v, m, _ in table.moves) == sorted(owned)
+        assert list(dict.fromkeys(m for _, m in reached)) == list(range(memory.size))
+        for v, m in owned:
+            node = product.vertex(v, stands_for[m])
             assert table.move(v, m) == product.edge_origin[solution.eve_strategy[node]]
         assert verify_strategy(arena, cond, memory, table)
     assert wins > 15
+
+
+def test_region_product_is_won_everywhere():
+    # over the colour player's region, the product holds exactly the pairs
+    # of the full product reachable from (v, initial state), v in the
+    # region, through region vertices only; she wins all of them, and the
+    # strategy that solve returns verifies with at most as many memory
+    # states as the automaton has
+    rng = random.Random(173)
+    regions = 0
+    for arena, cond in muller_draws(rng, 2000):
+        region = muller_regions(arena, cond)[0]
+        if not region:
+            continue
+        regions += 1
+        if arena.initial not in region:
+            arena = Arena(arena.colours, arena.eve, min(region), arena.edges)
+        aut = parity_automaton(cond)
+        nq, q0 = aut.n_states, aut.initial
+        product = product_with_parity(arena, aut, region)
+        full = full_parity_product(arena, aut)
+        reached = {v * nq + q0 for v in region}
+        frontier = list(reached)
+        while frontier:
+            node = frontier.pop()
+            for e in full.out_edges(node):
+                dst = full.edges[e][1]
+                if dst // nq in region and dst not in reached:
+                    reached.add(dst)
+                    frontier.append(dst)
+        assert set(product.index) == {divmod(node, nq) for node in reached}
+        solution = solve_parity_game(product.game)
+        assert solution.eve_region == set(range(len(product.game.eve)))
+        winner, memory, table = solve_muller_game(arena, cond)
+        assert winner == "eve" and memory.size <= nq
+        assert verify_strategy(arena, cond, memory, table)
+    assert regions > 1000
+
+
+def test_region_product_needs_the_initial_vertex():
+    arena = two_cycle_game(("a",), ("b",), AB)
+    aut = parity_automaton(at_least_two_colours(AB))
+    with pytest.raises(PreconditionViolation, match="initial vertex 0"):
+        product_with_parity(arena, aut, frozenset({1}))
 
 
 def test_product_requires_parity():
@@ -415,17 +489,43 @@ def test_verify_strategy_matches_walk_oracle():
 
 def test_verify_colour_guard_follows_component_order():
     # vertex 0 loops on colour c0 and leads to vertex 1, which loops on all
-    # fifteen colours; components are judged in order of their smallest vertex
-    colours = Alphabet(tuple(f"c{i}" for i in range(15)))
-    edges = ((0, 0, 0), (0, 1, 0)) + tuple((1, 1, c) for c in range(15))
+    # seventeen colours; components are judged in order of their smallest
+    # vertex, and the limit is the tree's, 16 letters
+    colours = Alphabet(tuple(f"c{i}" for i in range(17)))
+    edges = ((0, 0, 0), (0, 1, 0)) + tuple((1, 1, c) for c in range(17))
     arena = Arena(colours, (False, False), 0, edges)
-    memory = MemoryStructure("chromatic", 1, 0, ((0,) * 15,))
+    memory = MemoryStructure("chromatic", 1, 0, ((0,) * 17,))
     table = StrategyTable(())
-    everything = frozenset(range(1, 1 << 15))
+    everything = frozenset(range(1, 1 << 17))
     loses_first = MullerCondition(colours, everything - {1})
     assert not verify_strategy(arena, loses_first, memory, table)
-    with pytest.raises(ScaleGuard, match="15 colours in one component, limit 14"):
+    with pytest.raises(ScaleGuard, match="17 colours in one component, limit 16"):
         verify_strategy(arena, MullerCondition(colours, everything), memory, table)
+
+
+def test_verify_decides_a_sixteen_colour_ring_within_a_second():
+    # one strongly connected arena of 60 vertices: a ring carrying all
+    # sixteen colours, random chords out of the opponent's vertices and a
+    # colour-0 self-loop at vertex 0; the colour player's vertices have
+    # only their ring edge.  Every cycle wins, or every one but that loop.
+    rng = random.Random(16)
+    g, n = 16, 60
+    ring = list(range(g)) + [rng.randrange(g) for _ in range(n - g)]
+    rng.shuffle(ring)
+    eve = tuple(v % 3 == 1 for v in range(n))
+    edges = [(v, (v + 1) % n, ring[v]) for v in range(n)] + [(0, 0, 0)]
+    edges += [(v, rng.randrange(n), rng.randrange(g))
+              for v in range(n) if not eve[v] and rng.random() < 0.5]
+    arena = Arena(Alphabet(tuple(f"c{i}" for i in range(g))), eve, 0, tuple(edges))
+    memory = MemoryStructure("chromatic", 1, 0, ((0,) * g,))
+    table = StrategyTable.from_dict({(v, 0): v for v in range(n) if eve[v]})
+    every = range(1, 1 << g)
+    began = time.perf_counter()
+    assert verify_strategy(arena, MullerCondition(arena.colours, frozenset(every)),
+                           memory, table)
+    assert time.perf_counter() - began < 1.0
+    assert not verify_strategy(arena, MullerCondition(arena.colours, frozenset(every[1:])),
+                               memory, table)
 
 
 def test_verify_config_guard_fires_while_building():

@@ -1,6 +1,7 @@
 """Rabin typeness, pair synthesis, equivalence checks and the structure search."""
 import itertools
 import json
+import os
 import random
 import time
 
@@ -13,7 +14,8 @@ from mullertools.core import (Alphabet, Automaton, MullerAcceptance,
                               accepting_colour_set, accepts_up_word,
                               bit_indices, build_automaton, condition_to_json)
 from mullertools.rabin import (NotRabinTypeable, RabinTypenessReport,
-                               _conflicts, _lower_bound, acceptance_to_condition,
+                               _conflicts, _kept_first_rows, _letter_swaps,
+                               _lower_bound, acceptance_to_condition,
                                canonical_structures, check_rabin_typeable,
                                chromatic_memory, min_rabin_size,
                                muller_equivalent, rabin_equivalent,
@@ -385,6 +387,49 @@ def test_threads_agree():
     _, witness = min_rabin_size(mixed, 3)
     assert flat_table(witness) == (0, 0, 0, 1, 1, 0, 2, 1, 0, 0, 2, 2)
     assert flat_table(min_rabin_size(mixed, 3, threads=2)[1]) == flat_table(witness)
+
+
+def test_thread_count_below_one_is_refused():
+    for threads in (0, -1):
+        with pytest.raises(PreconditionViolation, match=f"thread count {threads} is below 1"):
+            min_rabin_size(exactly_two_of_three(), 4, threads=threads)
+
+
+def test_worker_pool_is_capped_by_rows_and_cpus(monkeypatch):
+    # the pool is replaced by one that records its size and runs the jobs
+    # in this process, so no worker is started whatever the thread count
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, jobs):
+            return map(fn, jobs)
+
+        def terminate(self):
+            pass
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    mixed = MullerCondition(Alphabet(tuple("abcd")),
+                            frozenset((1, 2, 3, 4, 5, 6, 8, 10, 11, 13, 14, 15)))
+    serial = flat_table(min_rabin_size(mixed, 3)[1])
+    rows = len(_kept_first_rows(3, 4, _letter_swaps(mixed)))
+    assert rows == 28
+    for cpus, last in ((5, 5), (64, rows), (None, None)):
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert flat_table(min_rabin_size(mixed, 3, threads=10 ** 6)[1]) == serial
+        assert (sizes[-1] if sizes else None) == last
+        assert all(size <= (cpus or 1) for size in sizes)
 
 
 def test_min_rabin_scale_guards():
