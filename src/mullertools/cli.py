@@ -90,7 +90,7 @@ def _cmd_mem(args) -> int:
 def _cmd_memchrom(args) -> int:
     cond = condition_from_json(_read_json(args.condition))
     limit = args.max_size if args.max_size is not None else 6
-    size, witness = min_rabin_size(cond, limit, threads=args.threads)
+    size, witness = min_rabin_size(cond, limit)
     artifact = {
         "chromatic_memory": size,
         "max_size": limit,
@@ -253,7 +253,7 @@ def _cmd_reduce_demo(args) -> int:
     classes = len(set(recovered.values()))
     limit = args.max_size if args.max_size is not None else number
     cond = graph_edge_condition(graph)
-    size, _ = min_rabin_size(cond, limit, threads=args.threads)
+    size, _ = min_rabin_size(cond, limit)
     artifact = {
         "chromatic_number": number,
         "min_rabin_size": size,
@@ -274,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="json: artifact on stdout, summary on stderr; "
                              "pretty: summary on stdout")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for the structure search")
+                        help="searches run in one process; kept, at 1 or"
+                             " more, for scripts that pass it")
 
     parser = argparse.ArgumentParser(
         prog="mullertools",
@@ -343,6 +344,9 @@ def main(argv=None) -> int:
     if args.command == "gen" and args.what not in ("example22", "clique-cond",
                                                    "min2-cond"):
         print(f"unknown example '{args.what}'", file=sys.stderr)
+        return EXIT_MALFORMED
+    if args.threads < 1:
+        print(f"error: thread count {args.threads} is below 1", file=sys.stderr)
         return EXIT_MALFORMED
     try:
         return args.run(args)

@@ -507,6 +507,24 @@ def edge_component(out: list[list[tuple[int, int]]], src: int, dst: int,
     return comp, cover
 
 
+def cycles_through(out: list[list[tuple[int, int]]], src: int, dst: int,
+                   candidates: Iterable[int]) -> Iterator[tuple[set[int], int]]:
+    """The colour bitsets among candidates that some cycle through the edge
+    src -> dst produces exactly, each with the nodes such cycles can visit.
+
+    A cycle through the edge produces exactly the set C when the edge's
+    component over the colours of C has exactly those colours; that
+    component lies inside the edge's component over all colours.
+    """
+    within, used = edge_component(out, src, dst, 0)
+    for colours in candidates if within else ():
+        if colours & ~used:
+            continue
+        comp, cover = edge_component(out, src, dst, ~colours, within)
+        if cover == colours:
+            yield comp, colours
+
+
 def realizable_cycle_sets(aut: Automaton, state: int, *, over: str = "output") -> frozenset[int]:
     """All colour bitsets realizable as cycles through the given state: the
     colour sets of the strongly connected edge sets through it.

@@ -11,7 +11,7 @@ from typing import Optional
 from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
                    PreconditionViolation, PropertyViolation, ScaleGuard,
                    alternating_children, condition_from_json,
-                   condition_to_json, edge_component, is_integer,
+                   condition_to_json, cycles_through, is_integer,
                    strongly_connected_components, subcycles, zielonka_children)
 from .rabin import MAX_TABLE_CELLS, canonical_structures, min_rabin_size
 from .zielonka import MAX_TREE_LETTERS, check_tree_alphabet, parity_automaton
@@ -562,11 +562,11 @@ def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
     structure of a minimal Rabin automaton for it is a chromatic memory with
     which the colour player wins every game over it that they win at all
     (Casares 2021; it rests on the positionality of Rabin games, Klarlund
-    1994).  So at the size of that structure, as found by min_rabin_size,
-    one table search on it decides: the size when it wins, else None, since
-    then no memory wins.  Smaller sizes are still enumerated in full, and
-    sizes whose tables exceed the structure search's MAX_TABLE_CELLS are
-    only enumerated.
+    1994).  The game is won here, so once min_rabin_size finds that
+    structure at the current size, the size is the answer and no table is
+    drawn for it.  Smaller sizes are still enumerated in full, and sizes
+    whose tables exceed the structure search's MAX_TABLE_CELLS are only
+    enumerated.
     """
     if max_size < 1:
         raise PreconditionViolation(f"state budget {max_size} is below 1")
@@ -582,12 +582,8 @@ def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
     if arena.initial in muller_regions(arena, own)[1]:
         return None
     for size in range(1, max_size + 1):
-        if size * g <= MAX_TABLE_CELLS:
-            bound, witness = min_rabin_size(own, size)
-            if bound == size:
-                update = tuple(tuple(target for target, _ in row) for row in witness.delta)
-                memory = MemoryStructure("chromatic", size, 0, update)
-                return size if _exists_winning_table(arena, memory, rejecting) else None
+        if size * g <= MAX_TABLE_CELLS and min_rabin_size(own, size)[0] == size:
+            return size
         for flat in canonical_structures(size, g):
             update = tuple(tuple(flat[m * g + c] for c in range(g))
                            for m in range(size))
@@ -620,10 +616,9 @@ def _exists_winning_table(arena: Arena, memory: MemoryStructure,
     only survive further choices (edges are only ever added), so a choice
     that closes one prunes the whole subtree.  The cycles a choice creates
     are those using one of the edges it adds: the chosen edge and the
-    opponent's edges expanded behind it.  Each such edge is checked against
-    the rejecting sets (from _rejecting_sets) its colour can lie in: a cycle
-    through it produces exactly a set C when its component over the colours
-    of C has exactly those colours.
+    opponent's edges expanded behind it.  Each such edge is checked, by
+    cycles_through, against the rejecting sets (from _rejecting_sets) its
+    colour can lie in.
     """
     index: dict[tuple[int, int], int] = {}
     order: list[tuple[int, int]] = []  # discovery order, for undo
@@ -655,12 +650,8 @@ def _exists_winning_table(arena: Arena, memory: MemoryStructure,
 
     def new_cycles_accepting(first_edge: int) -> bool:
         for src, dst, bits in edges[first_edge:]:
-            comp, used = edge_component(out, src, dst, 0)
-            for colours in rejecting[bits]:
-                if colours & ~used:
-                    continue
-                if edge_component(out, src, dst, ~colours, comp)[1] == colours:
-                    return False
+            for _ in cycles_through(out, src, dst, rejecting[bits]):
+                return False
         return True
 
     def explore(cursor: int) -> bool:

@@ -3,7 +3,6 @@ equivalence and the search for the smallest transition structure that makes
 an explicit Muller condition Rabin-expressible."""
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from operator import or_
@@ -13,12 +12,12 @@ from .core import (Alphabet, Automaton, MalformedInput, MullerAcceptance,
                    MullerCondition, PreconditionViolation, PropertyViolation,
                    RabinAcceptance, ScaleGuard, UnsupportedOperation,
                    _cycle_covers, accepting_colour_set, alternating_children,
-                   bit_indices, edge_component, strongly_connected_components,
-                   subcycles, submasks, zielonka_children)
+                   bit_indices, cycles_through, strongly_connected_components,
+                   subcycles, zielonka_children)
 from .graphs import SimpleGraph, chromatic_number
 from .zielonka import general_memory
 
-# most colours whose subsets a check may enumerate (cycle covers, accepting sets)
+# most colours on either side of muller_equivalent, whose cycle covers it walks
 MAX_COLOUR_BITS = 14
 # most cells (states × letters) of a table the structure search may fill
 MAX_TABLE_CELLS = 36
@@ -239,27 +238,6 @@ def muller_equivalent(a1: Automaton, a2: Automaton, *,
     return True
 
 
-def acceptance_to_condition(aut: Automaton) -> MullerCondition:
-    """Explicit accepting family of the automaton's acceptance, over the
-    output colours that actually occur on transitions."""
-    used = aut.used_output_bits()
-    if used.bit_count() > MAX_COLOUR_BITS:
-        raise ScaleGuard(f"{used.bit_count()} used output colours,"
-                         f" limit {MAX_COLOUR_BITS}")
-    family = [bits for bits in submasks(used)
-              if accepting_colour_set(aut.acceptance, bits)]
-    alphabet_positions = list(bit_indices(used))
-    symbols = tuple(aut.output_alphabet.symbols[i] for i in alphabet_positions)
-    remap = {position: j for j, position in enumerate(alphabet_positions)}
-    packed = []
-    for bits in family:
-        out = 0
-        for i in bit_indices(bits):
-            out |= 1 << remap[i]
-        packed.append(out)
-    return MullerCondition(Alphabet(symbols), frozenset(packed))
-
-
 # ---------------------------------------------------------------------------
 # Smallest transition structure making a condition Rabin-expressible.
 
@@ -291,14 +269,7 @@ class _Typeness:
         q, a = divmod(i, g)
         self.out[q].append((flat[i], 1 << a))
         self.marks.append((len(trail), q))
-        # every cycle through the new edge lies in its component over all letters
-        within, used = edge_component(self.out, q, flat[i], 0)
-        for colours in self.rejecting_with[a] if within else ():
-            if colours & ~used:
-                continue
-            comp, cover = edge_component(self.out, q, flat[i], ~colours, within)
-            if cover != colours:
-                continue
+        for comp, colours in cycles_through(self.out, q, flat[i], self.rejecting_with[a]):
             for u in comp:
                 if seen[u << g | colours]:
                     continue
@@ -406,14 +377,8 @@ def _lower_bound(cond: MullerCondition, conflicts: list[tuple[int, int]]) -> int
     return max(chromatic_number(conflict_graph)[0], general_memory(cond))
 
 
-def _search_worker(args) -> Optional[tuple[int, ...]]:
-    k, g, acc, row = args
-    return next(_tables(k, g, row, _Typeness(k, g, bytearray(acc))), None)
-
-
 def _find_structure(k: int, g: int, acc: bytearray, swaps: list[tuple[int, int]],
-                    conflicts: list[tuple[int, int]],
-                    threads: int) -> Optional[tuple[int, ...]]:
+                    conflicts: list[tuple[int, int]]) -> Optional[tuple[int, ...]]:
     rows = _kept_first_rows(k, g, swaps)
     check = _Typeness(k, g, acc)
     # letter-determined tables first: they cover proper-colouring style
@@ -423,25 +388,14 @@ def _find_structure(k: int, g: int, acc: bytearray, swaps: list[tuple[int, int]]
         if max(row, default=0) == k - 1 and all(row[a] != row[b] for a, b in conflicts):
             for flat in _tables(k, g, row * k, check):
                 return flat
-    workers = min(threads, len(rows), os.cpu_count() or 1)
-    if workers > 1 and k * g > 6:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            jobs = [(k, g, bytes(acc), row) for row in rows]
-            for result in pool.imap(_search_worker, jobs):
-                if result is not None:
-                    pool.terminate()
-                    return result
-        return None
     for row in rows:
         for flat in _tables(k, g, row, check):
             return flat
     return None
 
 
-def min_rabin_size(cond: MullerCondition, max_states: int, *,
-                   threads: int = 1) -> tuple[Optional[int], Optional[Automaton]]:
+def min_rabin_size(cond: MullerCondition,
+                   max_states: int) -> tuple[Optional[int], Optional[Automaton]]:
     """Fewest states of a deterministic structure over the condition's own
     colours on which the condition becomes Rabin-expressible.
 
@@ -450,12 +404,11 @@ def min_rabin_size(cond: MullerCondition, max_states: int, *,
     admitting a typeable structure, with the witness as a Muller automaton
     whose transitions output the letter they read: the first typeable
     letter-determined table, else the lexicographically first typeable one.
-    Typeness is checked after every filled cell; first rows that a
-    family-preserving swap of two letters makes smaller are skipped, and
-    threads > 1 splits the kept first rows over worker processes, at most
-    one per row and per CPU.  Returns (None, None) when no structure up to
-    max_states works; a budget or a thread count below 1 raises
-    PreconditionViolation.
+    The search runs in the calling process, one kept first row after
+    another: typeness is checked after every filled cell, and first rows
+    that a family-preserving swap of two letters makes smaller are skipped.
+    Returns (None, None) when no structure up to max_states works; a budget
+    below 1 raises PreconditionViolation.
 
     The bound b is the larger of two lower bounds, and a budget below it
     returns (None, None) without searching.  Call letters x and y
@@ -470,8 +423,6 @@ def min_rabin_size(cond: MullerCondition, max_states: int, *,
     """
     if max_states < 1:
         raise PreconditionViolation(f"state budget {max_states} is below 1")
-    if threads < 1:
-        raise PreconditionViolation(f"thread count {threads} is below 1")
     g = len(cond.alphabet)
     if g > 16:
         raise ScaleGuard(f"condition alphabet of {g} symbols, limit 16")
@@ -482,7 +433,7 @@ def min_rabin_size(cond: MullerCondition, max_states: int, *,
     acc = bytearray(bits in cond.accepting for bits in range(1 << g))
     swaps, conflicts = _letter_swaps(cond), _conflicts(cond)
     for k in range(_lower_bound(cond, conflicts), max_states + 1):
-        flat = _find_structure(k, g, acc, swaps, conflicts, threads)
+        flat = _find_structure(k, g, acc, swaps, conflicts)
         if flat is not None:
             rows = tuple(tuple((flat[q * g + a], a) for a in range(g))
                          for q in range(k))
@@ -492,10 +443,10 @@ def min_rabin_size(cond: MullerCondition, max_states: int, *,
     return None, None
 
 
-def chromatic_memory(cond: MullerCondition, max_states: int, *,
-                     threads: int = 1) -> Optional[int]:
+def chromatic_memory(cond: MullerCondition, max_states: int) -> Optional[int]:
     """Smallest memory keyed on colours alone that suffices for the
-    condition over every arena; coincides with the smallest Rabin-expressible
-    transition structure."""
-    size, _ = min_rabin_size(cond, max_states, threads=threads)
+    condition over every arena, or None above max_states.  By the main
+    theorem of Casares 2021 it coincides with the smallest Rabin-expressible
+    transition structure, so this is the size min_rabin_size finds."""
+    size, _ = min_rabin_size(cond, max_states)
     return size

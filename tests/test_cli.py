@@ -517,11 +517,16 @@ def test_threads_flag(capsys, cond_file):
     assert json.loads(out)["chromatic_memory"] == 2
 
 
-def test_threads_below_one_exit_two(capsys, cond_file):
-    for threads in ("0", "-1"):
-        code, out, err = run(capsys, "memchrom", cond_file, "--threads", threads)
-        assert code == 2 and out == ""
-        assert err.strip() == f"error: thread count {threads} is below 1"
+def test_threads_below_one_exit_two(capsys, cond_file, tmp_path):
+    # refused before any subcommand runs, also by those that never search
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(arena_to_json(separation_game(), separation_condition())))
+    for argv in (("memchrom", cond_file), ("solve", str(game)),
+                 ("zielonka", cond_file)):
+        for threads in ("0", "-1", "-5"):
+            code, out, err = run(capsys, *argv, "--threads", threads)
+            assert code == 2 and out == ""
+            assert err.strip() == f"error: thread count {threads} is below 1"
 
 
 def test_rabincheck_names_the_witness_sets(capsys, tmp_path):

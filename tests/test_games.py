@@ -684,9 +684,20 @@ def test_separation_game_draws_no_three_state_table(monkeypatch):
             sizes.append(num_states)
             yield flat
 
+    searched = []
+    table_search = games._exists_winning_table
+
+    def counted_search(arena, memory, rejecting):
+        searched.append(memory.size)
+        return table_search(arena, memory, rejecting)
+
     monkeypatch.setattr(games, "canonical_structures", counted)
+    monkeypatch.setattr(games, "_exists_winning_table", counted_search)
     assert min_chromatic_memory_exhaustive(separation_game(), separation_condition(), 3) == 3
     assert len(sizes) == 57 and 3 not in sizes
+    # the Rabin-size answer comes from the structure search alone: one
+    # table search per drawn table, none at size 3
+    assert searched == sizes
 
 
 def test_lost_game_draws_no_table(monkeypatch):

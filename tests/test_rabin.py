@@ -1,7 +1,6 @@
 """Rabin typeness, pair synthesis, equivalence checks and the structure search."""
 import itertools
 import json
-import os
 import random
 import time
 
@@ -12,10 +11,10 @@ from mullertools.core import (Alphabet, Automaton, MullerAcceptance,
                               MullerCondition, ParityAcceptance, PeriodicWord,
                               PreconditionViolation, ScaleGuard,
                               accepting_colour_set, accepts_up_word,
-                              bit_indices, build_automaton, condition_to_json)
+                              build_automaton, condition_to_json)
 from mullertools.rabin import (NotRabinTypeable, RabinTypenessReport,
                                _conflicts, _kept_first_rows, _letter_swaps,
-                               _lower_bound, acceptance_to_condition,
+                               _lower_bound,
                                canonical_structures, check_rabin_typeable,
                                chromatic_memory, min_rabin_size,
                                muller_equivalent, rabin_equivalent,
@@ -246,8 +245,6 @@ def test_muller_equivalent_scale_guard():
                           acceptance=MullerAcceptance(alpha_cond))
     with pytest.raises(ScaleGuard, match="left side uses 15 colours, limit 14"):
         muller_equivalent(aut, aut)
-    with pytest.raises(ScaleGuard, match="15 used output colours, limit 14"):
-        acceptance_to_condition(aut)
 
 
 def test_product_scale_guard():
@@ -256,22 +253,6 @@ def test_product_scale_guard():
     assert muller_equivalent(aut, aut, max_states=6)
     with pytest.raises(ScaleGuard, match="product reached 6 states, limit 5"):
         muller_equivalent(aut, aut, max_states=5)
-
-
-def test_acceptance_to_condition_roundtrip():
-    rng = random.Random(83)
-    for _ in range(20):
-        aut = random_rabin_automaton(rng, 2, 2, 3, 2)
-        cond = acceptance_to_condition(aut)
-        used = list(bit_indices(aut.used_output_bits()))
-        assert cond.alphabet.symbols == tuple(
-            aut.output_alphabet.symbols[i] for i in used)
-        for packed in range(1, 1 << len(used)):
-            original = 0
-            for j in bit_indices(packed):
-                original |= 1 << used[j]
-            assert cond.admits(packed) == accepting_colour_set(
-                aut.acceptance, original)
 
 
 def test_canonical_structures_counts():
@@ -378,58 +359,15 @@ def test_chromatic_memory_matches_search():
     assert chromatic_memory(exactly_two_of_three(), 4) == 3
 
 
-def test_threads_agree():
-    cond = exactly_two_of_three()
-    assert min_rabin_size(cond, 4)[0] == min_rabin_size(cond, 4, threads=2)[0]
-    # no letter-determined table fits here, so workers search the first rows
+def test_mixed_witness_searches_first_rows():
+    # no letter-determined table fits here, so the search walks the kept
+    # first rows and returns the lexicographically first typeable table
     mixed = MullerCondition(Alphabet(tuple("abcd")),
                             frozenset((1, 2, 3, 4, 5, 6, 8, 10, 11, 13, 14, 15)))
-    _, witness = min_rabin_size(mixed, 3)
+    size, witness = min_rabin_size(mixed, 3)
+    assert size == 3
     assert flat_table(witness) == (0, 0, 0, 1, 1, 0, 2, 1, 0, 0, 2, 2)
-    assert flat_table(min_rabin_size(mixed, 3, threads=2)[1]) == flat_table(witness)
-
-
-def test_thread_count_below_one_is_refused():
-    for threads in (0, -1):
-        with pytest.raises(PreconditionViolation, match=f"thread count {threads} is below 1"):
-            min_rabin_size(exactly_two_of_three(), 4, threads=threads)
-
-
-def test_worker_pool_is_capped_by_rows_and_cpus(monkeypatch):
-    # the pool is replaced by one that records its size and runs the jobs
-    # in this process, so no worker is started whatever the thread count
-    import multiprocessing
-
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, jobs):
-            return map(fn, jobs)
-
-        def terminate(self):
-            pass
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    mixed = MullerCondition(Alphabet(tuple("abcd")),
-                            frozenset((1, 2, 3, 4, 5, 6, 8, 10, 11, 13, 14, 15)))
-    serial = flat_table(min_rabin_size(mixed, 3)[1])
-    rows = len(_kept_first_rows(3, 4, _letter_swaps(mixed)))
-    assert rows == 28
-    for cpus, last in ((5, 5), (64, rows), (None, None)):
-        sizes.clear()
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert flat_table(min_rabin_size(mixed, 3, threads=10 ** 6)[1]) == serial
-        assert (sizes[-1] if sizes else None) == last
-        assert all(size <= (cpus or 1) for size in sizes)
+    assert len(_kept_first_rows(3, 4, _letter_swaps(mixed))) == 28
 
 
 def test_min_rabin_scale_guards():
