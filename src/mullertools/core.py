@@ -122,6 +122,15 @@ class Alphabet:
         return tuple(self.symbols[i] for i in bit_indices(bits))
 
 
+def transition_alphabet(states: Sequence, letters: Alphabet) -> Alphabet:
+    """One output symbol "state:letter" per transition of a table; a table
+    with more than an alphabet holds is too large (ScaleGuard), not malformed."""
+    if (count := len(states) * len(letters)) > MAX_ALPHABET:
+        raise ScaleGuard(f"{len(states)} states × {len(letters)} letters = {count}"
+                         f" transitions, one output symbol each, limit {MAX_ALPHABET}")
+    return Alphabet(tuple(f"{q}:{x}" for q in states for x in letters.symbols))
+
+
 @dataclass(frozen=True)
 class MullerCondition:
     """Explicit family of accepting colour sets over a finite alphabet."""
@@ -440,9 +449,9 @@ def _cycle_covers(edges: Sequence[tuple[int, int, int]]
     top-level components come in order of smallest vertex, each with all
     covers inside it before the next, and a component comes before the
     covers inside it, so a consumer may stop at the first cover it rejects.
-    Only synthesize_rabin_pairs, muller_equivalent, minimize_genbuchi's
-    self-check and realizable_cycle_sets need every cover; the other cycle
-    questions walk alternating_children.
+    Only muller_equivalent, minimize_genbuchi's self-check and
+    realizable_cycle_sets need every cover; the other cycle questions,
+    Rabin pair synthesis among them, walk alternating_children.
     """
     def split(edges, vertices, need):
         found = []

@@ -16,6 +16,9 @@ from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
 from .rabin import MAX_TABLE_CELLS, canonical_structures, min_rabin_size
 from .zielonka import MAX_TREE_LETTERS, check_tree_alphabet, parity_automaton
 
+# most (vertex, memory state) configurations verify_strategy may reach
+MAX_CONFIGS = 20000
+
 
 @dataclass(frozen=True)
 class Arena:
@@ -509,8 +512,7 @@ def _all_cycles_accepting(cond: MullerCondition, arena: Arena, edges) -> bool:
 
 
 def verify_strategy(arena: Arena, cond: MullerCondition,
-                    memory: MemoryStructure, table: StrategyTable, *,
-                    max_configs: int = 20000) -> bool:
+                    memory: MemoryStructure, table: StrategyTable) -> bool:
     """Check a strategy: every cycle of the strategy-restricted configuration
     graph must produce an accepting colour set.
 
@@ -540,9 +542,9 @@ def verify_strategy(arena: Arena, cond: MullerCondition,
             if key not in index:
                 index[key] = len(queue)
                 queue.append(key)
-                if len(index) > max_configs:
+                if len(index) > MAX_CONFIGS:
                     raise ScaleGuard(f"configuration graph reached {len(index)}"
-                                     f" nodes, limit {max_configs}")
+                                     f" nodes, limit {MAX_CONFIGS}")
             edges.append((src, index[key], colour))
     return _all_cycles_accepting(cond, arena, edges)
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
-                   PropertyViolation, RabinAcceptance, ScaleGuard, is_integer)
+                   PropertyViolation, RabinAcceptance, ScaleGuard, is_integer,
+                   transition_alphabet)
 from .zielonka import ZielonkaTree, zielonka_tree
 
 MAX_VERTICES = 64
@@ -209,8 +210,7 @@ def edge_alternation_automaton(graph: SimpleGraph) -> Automaton:
     """
     n = graph.n_vertices
     aut = colouring_to_rabin(graph, {v: v for v in range(1, n + 1)})
-    renamed = Alphabet(tuple(f"{q}:{x}" for q in range(1, n + 1)
-                             for x in range(1, n + 1)))
+    renamed = transition_alphabet(range(1, n + 1), aut.input_alphabet)
     return replace(aut, output_alphabet=renamed)
 
 
@@ -246,8 +246,7 @@ def colouring_to_rabin(graph: SimpleGraph, colouring: dict[int, int]) -> Automat
     k = len(classes)
     n = graph.n_vertices
     alphabet = vertex_alphabet(graph)
-    out_symbols = tuple(f"{q}:{x}" for q in range(k) for x in range(1, n + 1))
-    out = Alphabet(out_symbols)
+    out = transition_alphabet(range(k), alphabet)
 
     def colour_position(q: int, x: int) -> int:
         return q * n + (x - 1)

@@ -8,17 +8,20 @@ from functools import cache, partial, reduce
 from operator import or_
 from typing import Iterator, Optional
 
-from .core import (Alphabet, Automaton, MalformedInput, MullerAcceptance,
+from .core import (Automaton, MalformedInput, MullerAcceptance,
                    MullerCondition, PreconditionViolation, PropertyViolation,
                    RabinAcceptance, ScaleGuard, UnsupportedOperation,
                    _cycle_covers, accepting_colour_set, alternating_children,
-                   bit_indices, cycles_through, strongly_connected_components,
-                   subcycles, zielonka_children)
+                   cycles_through, strongly_connected_components, subcycles,
+                   transition_alphabet, zielonka_children)
 from .graphs import SimpleGraph, chromatic_number
 from .zielonka import general_memory
 
 # most colours on either side of muller_equivalent, whose cycle covers it walks
 MAX_COLOUR_BITS = 14
+# most reachable product states of muller_equivalent and of rabin_equivalent
+MAX_MULLER_PRODUCT = 200
+MAX_RABIN_PRODUCT = 4000
 # most cells (states × letters) of a table the structure search may fill
 MAX_TABLE_CELLS = 36
 
@@ -46,21 +49,14 @@ class NotRabinTypeable(PropertyViolation):
         self.report = report
 
 
-def check_rabin_typeable(aut: Automaton) -> RabinTypenessReport:
-    """Test whether the language of the automaton has a Rabin acceptance on
-    the same transition structure.
-
-    This holds exactly when rejecting realizable cycle sets are closed under
-    union at every state, which is read off the alternating cycle
-    decomposition (Casares-Colcombet-Fijalkow 2021): the tree whose roots are
-    the strongly connected components and whose nodes have as children their
-    largest subcycles on the other side of the acceptance.  Two rejecting
-    children of an accepting node that share a state have an accepting
-    union, a larger subcycle; two rejecting cycles with an accepting union
-    lie in distinct rejecting children of the least node holding both.  So
-    the walk stops at the first accepting node whose children meet.
-    """
-    edges = [(q, target, 1 << colour) for q, _, target, colour in aut.edges()]
+def _accepting_nodes(aut: Automaton) -> Iterator[tuple[tuple, list]]:
+    """The accepting nodes of the automaton's alternating cycle
+    decomposition in walk order, each as (internal edges, children), the
+    edges being (state, target, colour bit, transition bit) with transitions
+    numbered as in aut.edges().  Raises NotRabinTypeable at the first
+    accepting node two of whose children share a state."""
+    edges = [(q, target, 1 << colour, 1 << e)
+             for e, (q, _, target, colour) in enumerate(aut.edges())]
     used = aut.used_output_bits()
     if used.bit_count() > 20:
         raise ScaleGuard(f"{used.bit_count()} distinct colours, limit 20")
@@ -74,62 +70,69 @@ def check_rabin_typeable(aut: Automaton) -> RabinTypenessReport:
             continue
         seen.add((verts, cover))
         kids = alternating_children(internal, cover, accepts, split)
-        for i, (first_verts, first, _) in enumerate(kids if accepts(cover) else ()):
-            for second_verts, second, _ in kids[i + 1:]:
-                if shared := first_verts & second_verts:
-                    state = (shared & -shared).bit_length() - 1
-                    return RabinTypenessReport(False, (state, first, second))
+        if accepts(cover):
+            for i, (first_verts, first, _) in enumerate(kids):
+                for second_verts, second, _ in kids[i + 1:]:
+                    if shared := first_verts & second_verts:
+                        state = (shared & -shared).bit_length() - 1
+                        raise NotRabinTypeable(aut, RabinTypenessReport(
+                            False, (state, first, second)))
+            yield internal, kids
         stack += reversed(kids)
+
+
+def check_rabin_typeable(aut: Automaton) -> RabinTypenessReport:
+    """Test whether the language of the automaton has a Rabin acceptance on
+    the same transition structure.
+
+    This holds exactly when rejecting realizable cycle sets are closed under
+    union at every state, which is read off the alternating cycle
+    decomposition (Casares-Colcombet-Fijalkow 2021): the tree whose roots are
+    the strongly connected components and whose nodes have as children their
+    largest subcycles on the other side of the acceptance.  Two rejecting
+    children of an accepting node that share a state have an accepting
+    union, a larger subcycle; two rejecting cycles with an accepting union
+    lie in distinct rejecting children of the least node holding both.  So
+    the walk, shared with synthesize_rabin_pairs, stops at the first
+    accepting node whose children meet.
+    """
+    try:
+        for _ in _accepting_nodes(aut):
+            pass
+    except NotRabinTypeable as exc:
+        return exc.report
     return RabinTypenessReport(True, None)
 
 
-def synthesize_rabin_pairs(aut: Automaton, *, max_edges: int = 20) -> Automaton:
-    """Rabin pairs over a per-transition recolouring of a Muller automaton.
+def synthesize_rabin_pairs(aut: Automaton) -> Automaton:
+    """Rabin pairs over a per-transition recolouring, named "state:input",
+    of a Rabin-typeable automaton: per accepting node of its alternating
+    cycle decomposition, the node's transitions outside every child against
+    the transitions outside the node.
 
-    The output keeps the transition structure and recolours every transition
-    with its own name "state:input".  Each accepting cycle contributes one
-    pair: the cycle's edges minus every rejecting cycle inside it, against
-    the complement of the cycle.  The cycles are the edge sets that
-    _cycle_covers yields over edges labelled by their own bit.  Raises
-    NotRabinTypeable (with the witness) when no Rabin acceptance exists on
-    this structure.
-    """
-    report = check_rabin_typeable(aut)
-    if not report.typeable:
-        raise NotRabinTypeable(aut, report)
-    width = len(aut.input_alphabet)
-    m = aut.n_states * width
-    if m > max_edges:
-        raise ScaleGuard(f"{m} transitions exceed the {max_edges}-edge"
-                         " limit for cycle enumeration")
-    edges = [(q, target, 1 << e) for e, (q, _, target, _) in enumerate(aut.edges())]
-    colour_of = [1 << colour for _, _, _, colour in aut.edges()]
-    cycles: dict[bool, list[int]] = {True: [], False: []}  # by verdict
-    for _, cycle in _cycle_covers(edges):
-        colours = reduce(or_, (colour_of[e] for e in bit_indices(cycle)))
-        cycles[accepting_colour_set(aut.acceptance, colours)].append(cycle)
-    all_edges = (1 << m) - 1
+    A cycle has the verdict of the deepest node holding it, as a cycle of
+    the other verdict lies in a child.  So a rejecting cycle inside an
+    accepting node lies in a child and misses the first component, while an
+    accepting cycle in no child of its deepest node meets a transition
+    outside all children: typeness makes those children share no state, so
+    a strongly connected set of their transitions lies inside one of them.
+    Raises NotRabinTypeable (with the witness) when the automaton is not
+    typeable, and ScaleGuard past MAX_ALPHABET transitions."""
     pairs: dict[tuple[int, int], None] = {}  # insertion-ordered set
-    for cycle in sorted(cycles[True]):
-        first = cycle & ~reduce(or_, (inner for inner in cycles[False]
-                                      if not inner & ~cycle), 0)
-        if first == 0:
-            raise PropertyViolation("accepting cycle fully covered by rejecting"
-                                    " cycles despite a positive typeness check")
-        pairs[first, all_edges & ~cycle] = None
-    out_symbols = tuple(f"{q}:{sym}" for q in range(aut.n_states)
-                        for sym in aut.input_alphabet.symbols)
+    all_edges = (1 << aut.n_states * len(aut.input_alphabet)) - 1
+    for internal, kids in _accepting_nodes(aut):
+        inside = reduce(or_, (e[3] for e in internal))
+        in_kids = reduce(or_, (e[3] for _, _, kid in kids for e in kid), 0)
+        if not inside & ~in_kids:
+            raise RuntimeError("an accepting node of a typeable automaton has"
+                               " no transition outside its children")
+        pairs[inside & ~in_kids, all_edges & ~inside] = None
+    out = transition_alphabet(range(aut.n_states), aut.input_alphabet)
+    width = len(aut.input_alphabet)
     rows = tuple(tuple((aut.delta[q][a][0], q * width + a) for a in range(width))
                  for q in range(aut.n_states))
     return Automaton(aut.n_states, aut.initial, aut.input_alphabet,
-                     Alphabet(out_symbols), rows, RabinAcceptance(tuple(pairs)))
-
-
-def _input_positions(a1: Automaton, a2: Automaton) -> list[int]:
-    """Position of each of a1's input symbols inside a2's input alphabet."""
-    if set(a1.input_alphabet.symbols) != set(a2.input_alphabet.symbols):
-        raise MalformedInput("automata read different input alphabets")
-    return [a2.input_alphabet.position(sym) for sym in a1.input_alphabet.symbols]
+                     out, rows, RabinAcceptance(tuple(pairs)))
 
 
 def _reachable_product(a1: Automaton, a2: Automaton, max_states: int):
@@ -137,7 +140,9 @@ def _reachable_product(a1: Automaton, a2: Automaton, max_states: int):
 
     Returns the edges, each (src, dst, colour bit of a1, colour bit of a2).
     """
-    remap = _input_positions(a1, a2)
+    if set(a1.input_alphabet.symbols) != set(a2.input_alphabet.symbols):
+        raise MalformedInput("automata read different input alphabets")
+    remap = [a2.input_alphabet.position(sym) for sym in a1.input_alphabet.symbols]
     index: dict[tuple[int, int], int] = {(a1.initial, a2.initial): 0}
     queue = [(a1.initial, a2.initial)]
     edges: list[tuple[int, int, int, int]] = []
@@ -159,42 +164,32 @@ def _reachable_product(a1: Automaton, a2: Automaton, max_states: int):
 def _exists_accepted_rejected(edges, meet_bits: int, streett_pairs) -> bool:
     """Search for a strongly connected edge set meeting meet_bits on the left
     colours while failing every Streett pair on the right colours."""
-    verts = set()
-    for src, dst, _, _ in edges:
-        verts.add(src)
-        verts.add(dst)
-    for _, internal in strongly_connected_components(verts, edges):
+    verts = {v for e in edges for v in e[:2]}
+    for _, internal in strongly_connected_components(verts, edges) if edges else ():
         if not internal:
             continue
-        right = 0
-        for _, _, _, c2 in internal:
-            right |= c2
-        violated = [first for first, second in streett_pairs
-                    if right & first and not right & second]
-        if not violated:
+        right = reduce(or_, (e[3] for e in internal))
+        drop = reduce(or_, (first for first, second in streett_pairs
+                            if right & first and not right & second), 0)
+        if not drop:
             if any(c1 & meet_bits for _, _, c1, _ in internal):
                 return True
         else:
-            drop = 0
-            for first in violated:
-                drop |= first
             rest = [e for e in internal if not e[3] & drop]
-            if rest and _exists_accepted_rejected(rest, meet_bits, streett_pairs):
+            if _exists_accepted_rejected(rest, meet_bits, streett_pairs):
                 return True
     return False
 
 
-def _rabin_containment_fails(a1: Automaton, a2: Automaton, max_states: int) -> bool:
+def _rabin_containment_fails(a1: Automaton, a2: Automaton) -> bool:
     """True when some word is accepted by a1 but rejected by a2."""
-    edges = _reachable_product(a1, a2, max_states)
-    for meet, avoid in a1.acceptance.pairs:
-        kept = [e for e in edges if not e[2] & avoid]
-        if kept and _exists_accepted_rejected(kept, meet, a2.acceptance.pairs):
-            return True
-    return False
+    edges = _reachable_product(a1, a2, MAX_RABIN_PRODUCT)
+    return any(_exists_accepted_rejected([e for e in edges if not e[2] & avoid],
+                                         meet, a2.acceptance.pairs)
+               for meet, avoid in a1.acceptance.pairs)
 
 
-def rabin_equivalent(a1: Automaton, a2: Automaton, *, max_states: int = 4000) -> bool:
+def rabin_equivalent(a1: Automaton, a2: Automaton) -> bool:
     """Language equality of two deterministic Rabin automata.
 
     Checks both containments on the synchronous product; a missing word shows
@@ -202,16 +197,12 @@ def rabin_equivalent(a1: Automaton, a2: Automaton, *, max_states: int = 4000) ->
     first component, avoids its second) on which the other side fails every
     one of its pairs read as Streett constraints.
     """
-    for aut in (a1, a2):
-        if aut.acceptance.kind != "rabin":
-            raise UnsupportedOperation("rabin_equivalent needs Rabin acceptance"
-                                       " on both sides")
-    return not (_rabin_containment_fails(a1, a2, max_states)
-                or _rabin_containment_fails(a2, a1, max_states))
+    if a1.acceptance.kind != "rabin" or a2.acceptance.kind != "rabin":
+        raise UnsupportedOperation("rabin_equivalent needs Rabin acceptance on both sides")
+    return not (_rabin_containment_fails(a1, a2) or _rabin_containment_fails(a2, a1))
 
 
-def muller_equivalent(a1: Automaton, a2: Automaton, *,
-                      max_states: int = 200) -> bool:
+def muller_equivalent(a1: Automaton, a2: Automaton) -> bool:
     """Language equality for any two acceptance kinds, by cycle enumeration.
 
     Labels each edge of the reachable synchronous product with the colours
@@ -219,12 +210,9 @@ def muller_equivalent(a1: Automaton, a2: Automaton, *,
     languages differ exactly when some cover is judged differently by the
     two acceptances.
     """
-    edges = _reachable_product(a1, a2, max_states)
-    used1 = used2 = 0
-    for _, _, c1, c2 in edges:
-        used1 |= c1
-        used2 |= c2
-    for used, label in ((used1, "left"), (used2, "right")):
+    edges = _reachable_product(a1, a2, MAX_MULLER_PRODUCT)
+    for side, label in ((2, "left"), (3, "right")):
+        used = reduce(or_, (e[side] for e in edges))
         if used.bit_count() > MAX_COLOUR_BITS:
             raise ScaleGuard(f"{label} side uses {used.bit_count()} colours,"
                              f" limit {MAX_COLOUR_BITS}")

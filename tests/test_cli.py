@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from mullertools import cli
+from mullertools import cli, rabin
 from mullertools.cli import main
 from mullertools.core import (Alphabet, GenBuchiAcceptance, MullerAcceptance,
                               MullerCondition, ParityAcceptance,
@@ -14,7 +14,7 @@ from mullertools.core import (Alphabet, GenBuchiAcceptance, MullerAcceptance,
 from mullertools.games import (Arena, arena_to_json, separation_condition,
                                separation_game, strategy_to_json,
                                separation_chromatic_memory, two_cycle_game,
-                               at_least_two_colours)
+                               at_least_two_colours, exactly_two_colours)
 from mullertools.graphs import SimpleGraph, graph_to_dimacs
 from mullertools.rabin import synthesize_rabin_pairs
 from mullertools.zielonka import parity_automaton
@@ -127,6 +127,20 @@ def test_rabincheck_typeable(capsys, cond_file, tmp_path):
     assert json.loads(out2)["acceptance"]["kind"] == "rabin"
 
 
+def test_rabincheck_synthesises_48_transitions(capsys, tmp_path):
+    # the parity automaton of exactly two of four letters: 12 states × 4
+    # letters, past the former 20-transition limit of pair synthesis
+    cond_path = tmp_path / "cond.json"
+    cond_path.write_text(json.dumps(condition_to_json(exactly_two_colours("1234"))))
+    _, out, _ = run(capsys, "zt2parity", str(cond_path))
+    aut_path = tmp_path / "aut.json"
+    aut_path.write_text(out)
+    code, out2, _ = run(capsys, "rabincheck", str(aut_path))
+    assert code == 0
+    result = json.loads(out2)
+    assert result["acceptance"]["kind"] == "rabin" and len(result["output"]) == 48
+
+
 def test_rabincheck_untypeable(capsys, tmp_path):
     # single state reading three letters with the two-of-three condition
     cond = MullerCondition.make(("1", "2", "3"), [("1", "2"), ("1", "3"), ("2", "3")])
@@ -221,6 +235,30 @@ def test_colouring_pipeline(capsys, tmp_path):
     assert json.loads(out4)["states"] == 3
     # the discrete-colouring automaton names its states by vertex, 1..n
     assert json.loads(out4)["output"] == [f"{q}:{x}" for q in "123" for x in "123"]
+
+
+def _path_graph(n: int) -> SimpleGraph:
+    return SimpleGraph(n, tuple((v, v + 1) for v in range(1, n)))
+
+
+def test_oversized_output_alphabets_are_scale_guarded(capsys, tmp_path):
+    # graph2rabin needs 9 × 9 output symbols, and the two colour classes of
+    # a 33-vertex path need 2 × 33: both exceed the 64 an alphabet holds
+    nine = tmp_path / "p9.col"
+    nine.write_text(graph_to_dimacs(_path_graph(9)))
+    code, out, err = run(capsys, "graph2rabin", str(nine))
+    assert (code, out) == (3, "")
+    assert err == ("scale guard: 9 states × 9 letters = 81 transitions,"
+                   " one output symbol each, limit 64\n")
+    path = tmp_path / "p33.col"
+    path.write_text(graph_to_dimacs(_path_graph(33)))
+    colouring = tmp_path / "col.json"
+    colouring.write_text(json.dumps({"assignment": [1 + v % 2 for v in range(33)]}))
+    for argv in (("reduce-demo", str(path)), ("colour2rabin", str(path), str(colouring))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == ("scale guard: 2 states × 33 letters = 66 transitions,"
+                       " one output symbol each, limit 64\n")
 
 
 def test_solve_verify_memgame(capsys, tmp_path):
@@ -502,6 +540,25 @@ def test_internal_error_is_exit_four(capsys, cond_file, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
     assert "Traceback" in err and "RuntimeError: defect under test" in err
+
+
+def test_rabincheck_pairs_inconsistency_is_exit_four(capsys, cond_file, tmp_path,
+                                                    monkeypatch):
+    # a defect under test: every accepting node has itself as its one child,
+    # so no transition lies outside its children
+    def self_child(internal, cover, accepts, split):
+        verts = 0
+        for src, dst, *_ in internal:
+            verts |= 1 << src | 1 << dst
+        return [(verts, cover, internal)] if accepts(cover) else []
+
+    _, out, _ = run(capsys, "zt2parity", cond_file)
+    aut_path = tmp_path / "aut.json"
+    aut_path.write_text(out)
+    monkeypatch.setattr(rabin, "alternating_children", self_child)
+    code, out, err = run(capsys, "rabincheck", str(aut_path))
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert "RuntimeError: an accepting node of a typeable automaton has" in err
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -528,18 +528,22 @@ def test_verify_decides_a_sixteen_colour_ring_within_a_second():
                                memory, table)
 
 
-def test_verify_config_guard_fires_while_building():
+def test_verify_config_guard_fires_while_building(monkeypatch):
+    import mullertools.games as games
     arena, cond = separation_game(), separation_condition()
     memory, table = separation_chromatic_memory()
-    assert verify_strategy(arena, cond, memory, table, max_configs=14)
+    monkeypatch.setattr(games, "MAX_CONFIGS", 14)
+    assert verify_strategy(arena, cond, memory, table)
+    monkeypatch.setattr(games, "MAX_CONFIGS", 13)
     with pytest.raises(ScaleGuard, match="configuration graph reached 14 nodes, limit 13"):
-        verify_strategy(arena, cond, memory, table, max_configs=13)
+        verify_strategy(arena, cond, memory, table)
     # an empty table fails at the first colour-player vertex, which is only
     # the second configuration found: a limit of one stops the search first
     with pytest.raises(MalformedInput, match="no move"):
         verify_strategy(arena, cond, memory, StrategyTable(()))
+    monkeypatch.setattr(games, "MAX_CONFIGS", 1)
     with pytest.raises(ScaleGuard, match="configuration graph reached 2 nodes, limit 1"):
-        verify_strategy(arena, cond, memory, StrategyTable(()), max_configs=1)
+        verify_strategy(arena, cond, memory, StrategyTable(()))
 
 
 def test_condition_families():

@@ -202,11 +202,77 @@ def test_synthesized_pairs_agree_on_random_lassos():
         produced += 1
 
 
-def test_synthesis_edge_guard():
-    rng = random.Random(73)
-    aut = random_muller_automaton(rng, 3, 2, 2)
-    with pytest.raises(ScaleGuard, match="6 transitions exceed the 5-edge limit"):
-        synthesize_rabin_pairs(aut, max_edges=5)
+def test_synthesis_refuses_more_transitions_than_symbols():
+    # a ring of 22 states over three letters where every colour set accepts:
+    # typeable, but its 66 transitions need 66 output symbols
+    n = 22
+    trans = {}
+    for q in range(n):
+        trans[q, "a"] = ((q + 1) % n, "x")
+        trans[q, "b"] = (q, "y")
+        trans[q, "c"] = (0, "x")
+    cond = MullerCondition.make("xy", [("x",), ("y",), ("x", "y")])
+    aut = build_automaton(initial=0, transitions=trans, input_symbols="abc",
+                          output_symbols="xy", acceptance=MullerAcceptance(cond))
+    assert aut.n_states == n and check_rabin_typeable(aut).typeable
+    with pytest.raises(ScaleGuard, match="22 states × 3 letters = 66 transitions,"
+                                         " one output symbol each, limit 64"):
+        synthesize_rabin_pairs(aut)
+
+
+# draw 1145 of random_muller_automaton from random.Random(1) with 1-6 states,
+# 1-3 letters and 1-5 colours: 18 transitions whose strongly connected
+# transition sets are many, while its decomposition has three accepting nodes
+DRAW_1145 = (
+    ((1, 2), (2, 0), (1, 3)), ((3, 1), (0, 2), (4, 0)), ((1, 0), (0, 3), (3, 0)),
+    ((0, 2), (5, 2), (4, 0)), ((5, 0), (2, 0), (1, 0)), ((2, 2), (3, 3), (3, 3)))
+DRAW_1145_ACCEPTING = (1, 2, 3, 5, 6, 9, 10, 11, 13)
+
+
+def test_synthesis_of_draw_1145_is_fast_and_right():
+    out = Alphabet(("0", "1", "2", "3"))
+    aut = Automaton(6, 0, Alphabet(("a", "b", "c")), out, DRAW_1145,
+                    MullerAcceptance(MullerCondition(out, frozenset(DRAW_1145_ACCEPTING))))
+    began = time.perf_counter()
+    rabin = synthesize_rabin_pairs(aut)
+    assert time.perf_counter() - began < 1.0
+    assert len(rabin.acceptance.pairs) == 3
+    assert product_agrees(aut, rabin)
+
+
+def test_synthesized_pairs_agree_on_lassos_up_to_63_transitions():
+    rng = random.Random(1763)
+    produced = verdicts = 0
+    while produced < 60:
+        g = rng.randint(2, 3)
+        aut = random_muller_automaton(rng, rng.randint(-(-21 // g), 63 // g), g,
+                                      rng.randint(4, 7))
+        m = aut.n_states * g
+        if not 21 <= m <= 63 or not check_rabin_typeable(aut).typeable:
+            continue
+        rabin = synthesize_rabin_pairs(aut)
+        letters = aut.input_alphabet.symbols
+        for _ in range(100):
+            word = PeriodicWord(tuple(rng.choices(letters, k=rng.randrange(6))),
+                                tuple(rng.choices(letters, k=rng.randint(1, 8))))
+            verdict = accepts_up_word(aut, word)
+            assert accepts_up_word(rabin, word) == verdict
+            verdicts += verdict
+        produced += 1
+    assert 0 < verdicts < 6000
+
+
+def test_small_synthesized_automata_pass_the_product_oracle():
+    rng = random.Random(1709)
+    checked = 0
+    for _ in range(400):
+        g = rng.randint(1, 3)
+        aut = random_muller_automaton(rng, rng.randint(1, 4), g, rng.randint(1, 5))
+        if aut.n_states * g > 12 or not check_rabin_typeable(aut).typeable:
+            continue
+        assert product_agrees(aut, synthesize_rabin_pairs(aut))
+        checked += 1
+    assert checked > 300
 
 
 def test_rabin_equivalent_matches_generic_check():
@@ -247,12 +313,15 @@ def test_muller_equivalent_scale_guard():
         muller_equivalent(aut, aut)
 
 
-def test_product_scale_guard():
+def test_product_scale_guard(monkeypatch):
+    import mullertools.rabin as rabin
     # the product of a six-state automaton with itself reaches six states
     aut = parity_automaton(exactly_two_colours("abc"))
-    assert muller_equivalent(aut, aut, max_states=6)
+    monkeypatch.setattr(rabin, "MAX_MULLER_PRODUCT", 6)
+    assert muller_equivalent(aut, aut)
+    monkeypatch.setattr(rabin, "MAX_MULLER_PRODUCT", 5)
     with pytest.raises(ScaleGuard, match="product reached 6 states, limit 5"):
-        muller_equivalent(aut, aut, max_states=5)
+        muller_equivalent(aut, aut)
 
 
 def test_canonical_structures_counts():
