@@ -145,6 +145,7 @@ class MullerCondition:
                 raise MalformedInput("accepting family must not contain the empty set")
             if bits & ~full:
                 raise MalformedInput("accepting set uses symbols outside the alphabet")
+        object.__setattr__(self, "_children", {})
 
     @classmethod
     def make(cls, symbols: Iterable[str],
@@ -163,6 +164,12 @@ class MullerCondition:
         if bits & ~self.alphabet.full_mask:
             raise MalformedInput("colour set uses symbols outside the alphabet")
         return bits in self.accepting
+
+    def children(self, label: int) -> tuple[int, ...]:
+        """label's children in the Zielonka tree, worked out once per label."""
+        if label not in (memo := self._children):  # type: ignore[attr-defined]
+            memo[label] = tuple(zielonka_children(label, self.accepting.__contains__))
+        return memo[label]
 
 
 def complement_condition(cond: MullerCondition) -> MullerCondition:
@@ -645,7 +652,7 @@ def subcycles(edges: Sequence[tuple], within: int
 
 def alternating_children(internal: Sequence[tuple], cover: int,
                          accepts: Callable[[int], bool],
-                         split: Callable[[int], list[int]]
+                         split: Callable[[int], Sequence[int]]
                          ) -> list[tuple[int, int, tuple[tuple, ...]]]:
     """Children of a node of the alternating cycle decomposition
     (Casares-Colcombet-Fijalkow 2021): (vertex bitset, cover, edges) of the
@@ -777,8 +784,9 @@ def automaton_from_json(data: object) -> Automaton:
     initial = data["initial"]
     if not is_integer(n) or not is_integer(initial):
         raise MalformedInput("fields 'states' and 'initial' must be integers")
-    inp = Alphabet(tuple(data["input"]))
-    out = Alphabet(tuple(data["output"]))
+    if not isinstance(data["input"], list) or not isinstance(data["output"], list):
+        raise MalformedInput("fields 'input' and 'output' must be lists of symbols")
+    inp, out = Alphabet(tuple(data["input"])), Alphabet(tuple(data["output"]))
     transitions: dict[tuple[int, str], tuple[int, str]] = {}
     if not isinstance(data["delta"], list):
         raise MalformedInput("field 'delta' must be a list")

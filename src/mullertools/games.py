@@ -3,7 +3,7 @@ synthesis and verification, and searches for small memory structures."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from itertools import chain
 from operator import or_
 from typing import Optional
@@ -12,7 +12,7 @@ from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
                    PreconditionViolation, PropertyViolation, ScaleGuard,
                    alternating_children, condition_from_json,
                    condition_to_json, cycles_through, is_integer,
-                   strongly_connected_components, subcycles, zielonka_children)
+                   strongly_connected_components, subcycles)
 from .rabin import MAX_TABLE_CELLS, canonical_structures, min_rabin_size
 from .zielonka import MAX_TREE_LETTERS, check_tree_alphabet, parity_automaton
 
@@ -385,7 +385,6 @@ def muller_regions(arena: Arena, cond: MullerCondition
     into: list[list[int]] = [[] for _ in owner]
     for e, w in enumerate(dst):
         into[w].append(e)
-    split = cache(lambda label: zielonka_children(label, accepts))
 
     def attract(player: int, vertices: set[int], label: int, attr: set[int],
                 seeds: list[int], below: int) -> None:
@@ -418,10 +417,10 @@ def muller_regions(arena: Arena, cond: MullerCondition
             inside = [e for v in vertices for e in out[v]
                       if dst[e] in vertices and not colours[e] & ~label]
             used = reduce(or_, (colours[e] for e in inside), 0)
-            while holding := [c for c in split(label) if not used & ~c]:
+            while holding := [c for c in cond.children(label) if not used & ~c]:
                 label = holding[0]  # down to the deepest node holding used
             mine = 0 if accepts(label) else 1
-            for child in split(label):
+            for child in cond.children(label):
                 attr: set[int] = set()
                 attract(mine, vertices, label, attr,
                         [e for e in inside if colours[e] & ~child], child)
@@ -501,12 +500,11 @@ def _all_cycles_accepting(cond: MullerCondition, arena: Arena, edges) -> bool:
     labelled = [(src, dst, 0 if colour is None else bit[colour])
                 for src, dst, colour in edges]
     accepts = cond.accepting.__contains__
-    split = cache(lambda colours: zielonka_children(colours, accepts))
     for _, cover, internal in subcycles(labelled, -1):
         if cover.bit_count() > MAX_TREE_LETTERS:
             raise ScaleGuard(f"{cover.bit_count()} colours in one component,"
                              f" limit {MAX_TREE_LETTERS}")
-        if not accepts(cover) or alternating_children(internal, cover, accepts, split):
+        if not accepts(cover) or alternating_children(internal, cover, accepts, cond.children):
             return False
     return True
 

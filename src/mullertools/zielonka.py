@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
-                   ParityAcceptance, ScaleGuard, bit_indices, zielonka_children)
+                   ParityAcceptance, ScaleGuard, bit_indices)
 
 
 @dataclass(frozen=True)
@@ -15,7 +15,8 @@ class ZielonkaTree:
     The root is labelled by the full alphabet; the children of a node are the
     inclusion-maximal non-empty strict subsets of its label on the opposite
     side of the accepting family.  Children are ordered by ascending label
-    bitset, which makes the shape canonical.
+    bitset, which makes the shape canonical.  A node may be shared by many
+    parents, so its leaf count and height are kept when it is built.
     """
 
     alphabet: Alphabet
@@ -23,14 +24,16 @@ class ZielonkaTree:
     accepting: bool
     children: tuple["ZielonkaTree", ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_leaves", sum(c.leaf_count() for c in self.children) or 1)
+        object.__setattr__(self, "_height", 1 + max((c.height() for c in self.children), default=0))
+
     def height(self) -> int:
         """Number of nodes on a longest root-to-leaf path."""
-        return 1 + max((child.height() for child in self.children), default=0)
+        return self._height  # type: ignore[attr-defined]
 
     def leaf_count(self) -> int:
-        if not self.children:
-            return 1
-        return sum(child.leaf_count() for child in self.children)
+        return self._leaves  # type: ignore[attr-defined]
 
     def label_names(self) -> tuple[str, ...]:
         return self.alphabet.names(self.label)
@@ -48,18 +51,20 @@ def check_tree_alphabet(cond: MullerCondition) -> None:
 
 
 def zielonka_tree(cond: MullerCondition) -> ZielonkaTree:
-    """Build the alternating-subset tree of an explicit Muller condition."""
+    """Build the alternating-subset tree of an explicit Muller condition.
+
+    A node depends only on its label, so a label that recurs under many
+    parents is one node shared by all of them."""
     check_tree_alphabet(cond)
-    labels: dict[int, list[int]] = {}  # a label recurs under many parents
+    nodes: dict[int, ZielonkaTree] = {}
 
-    def build(label: int, accepting: bool) -> ZielonkaTree:
-        if label not in labels:
-            labels[label] = zielonka_children(label, cond.accepting.__contains__)
-        children = tuple(build(sub, not accepting) for sub in labels[label])
-        return ZielonkaTree(cond.alphabet, label, accepting, children)
+    def build(label: int) -> ZielonkaTree:
+        if label not in nodes:
+            nodes[label] = ZielonkaTree(cond.alphabet, label, label in cond.accepting,
+                                        tuple(map(build, cond.children(label))))
+        return nodes[label]
 
-    full = cond.alphabet.full_mask
-    return build(full, full in cond.accepting)
+    return build(cond.alphabet.full_mask)
 
 
 def general_memory(cond: MullerCondition) -> int:
@@ -110,8 +115,7 @@ def memory_requirements(cond: MullerCondition) -> MemoryRequirements:
     def numbers(label: int) -> tuple[int, int, bool]:
         if label not in memo:
             accepting = label in cond.accepting
-            below = [numbers(sub) for sub in
-                     zielonka_children(label, cond.accepting.__contains__)]
+            below = [numbers(sub) for sub in cond.children(label)]
             memo[label] = (1, 1, True) if not below else (
                 (sum if accepting else max)(memory for memory, _, _ in below),
                 1 + max(height for _, height, _ in below),
@@ -138,23 +142,13 @@ def parity_automaton_from_tree(tree: ZielonkaTree) -> Automaton:
     cyclically next child below that node.  Priorities decrease with depth
     and the root's priority is even exactly when the root is accepting.
 
-    One walk numbers the leaves; a second keeps, for the current path, the
-    step that leaving each node takes and the deepest node holding each
-    symbol, so every transition is one lookup.
+    One walk keeps, for the current path, the step that leaving each node
+    takes and the deepest node holding each symbol, so every transition is
+    one lookup.  A child's first leaf is its parent's first leaf plus the
+    leaf counts of its earlier siblings.
     """
     if tree.label != tree.alphabet.full_mask:
         raise MalformedInput("tree root must be labelled by the whole alphabet")
-    first_leaf: dict[int, int] = {}  # node id -> index of the first leaf below it
-
-    def number(node: ZielonkaTree, start: int) -> int:
-        first_leaf[id(node)] = start
-        if not node.children:
-            return start + 1
-        for child in node.children:
-            start = number(child, start)
-        return start
-
-    n_leaves = number(tree, 0)
     height = tree.height()
     base = (height - 1) % 2 if tree.accepting else height % 2
     # priority of a node at depth d is (height - 1 - d) + base
@@ -162,27 +156,29 @@ def parity_automaton_from_tree(tree: ZielonkaTree) -> Automaton:
     steps: list[tuple[int, int]] = []  # (target, colour) of leaving each path node
     rows: list[tuple[tuple[int, int], ...]] = []
 
-    def visit(node: ZielonkaTree, depth: int) -> None:
+    def visit(node: ZielonkaTree, depth: int, first: int) -> None:
         saved = [(a, deepest[a]) for a in bit_indices(node.label)]
         for a, _ in saved:
             deepest[a] = depth
         colour = height - 1 - depth
         if not node.children:
-            steps.append((first_leaf[id(node)], colour))
+            steps.append((first, colour))
             rows.append(tuple(steps[d] for d in deepest))
             steps.pop()
+        start = first  # first leaf of the current child
         for position, child in enumerate(node.children):
-            nxt = node.children[(position + 1) % len(node.children)]
-            steps.append((first_leaf[id(nxt)], colour))
-            visit(child, depth + 1)
+            end = start + child.leaf_count()
+            steps.append((end if position + 1 < len(node.children) else first, colour))
+            visit(child, depth + 1, start)
             steps.pop()
+            start = end
         for a, old in saved:
             deepest[a] = old
 
-    visit(tree, 0)
+    visit(tree, 0, 0)
     out_symbols = tuple(str(p) for p in range(base, height + base))
     acceptance = ParityAcceptance(tuple(range(base, height + base)))
-    return Automaton(n_leaves, 0, tree.alphabet, Alphabet(out_symbols),
+    return Automaton(tree.leaf_count(), 0, tree.alphabet, Alphabet(out_symbols),
                      tuple(rows), acceptance)
 
 
@@ -234,12 +230,10 @@ def tree_to_json(tree: ZielonkaTree) -> dict:
 def tree_from_json(data: object, alphabet: Alphabet | None = None) -> ZielonkaTree:
     if not isinstance(data, dict):
         raise MalformedInput("tree must be a JSON object")
-    if alphabet is None:
-        label = data.get("label")
-        if not isinstance(label, list):
-            raise MalformedInput("tree field 'label' must be a list of symbols")
-        alphabet = Alphabet(tuple(label))
-    for field_name in ("label", "accepting", "children"):
+    if not isinstance(data.get("label"), list):  # at every node: a string is no label
+        raise MalformedInput("tree field 'label' must be a list of symbols")
+    alphabet = alphabet or Alphabet(tuple(data["label"]))
+    for field_name in ("accepting", "children"):
         if field_name not in data:
             raise MalformedInput(f"tree is missing field '{field_name}'")
     if not isinstance(data["accepting"], bool):

@@ -442,6 +442,20 @@ def test_automaton_reader_refuses_non_list_acceptance_sets(capsys, tmp_path, acc
     assert "list of lists" in err
 
 
+@pytest.mark.parametrize("value", ["01", {"0": 0, "1": 1}, 5, None, True, 1.5],
+                         ids=["string", "object", "number", "null", "boolean", "float"])
+@pytest.mark.parametrize("field", ["input", "output"])
+def test_automaton_reader_refuses_non_list_alphabets(capsys, tmp_path, field, value):
+    # a string or an object would be read as its characters or keys
+    aut = build_automaton(initial=0, transitions={(0, "0"): (0, "0"), (0, "1"): (0, "1")},
+                          input_symbols="01", output_symbols="01",
+                          acceptance=ParityAcceptance((0, 1)))
+    data = automaton_to_json(aut)
+    data[field] = value
+    err = _refused(capsys, tmp_path, "minparity", data)
+    assert "fields 'input' and 'output' must be lists of symbols" in err
+
+
 def lost_game(symbols):
     """One opponent vertex looping on a, as JSON with a condition over
     symbols that accepts only the set of all of them: with two symbols or

@@ -333,3 +333,13 @@ def test_zielonka_children_are_the_largest_subsets_on_the_other_side(label, fami
              and (sub in family) != side]
     got = zielonka_children(label, family.__contains__)
     assert got == sorted(quad_max_inclusion(other))
+
+
+def test_condition_child_memo_is_no_part_of_its_value():
+    worked, fresh = (MullerCondition.make("abc", [("a", "b"), ("c",), ("a", "b", "c")])
+                     for _ in range(2))
+    children = worked.children(0b111)
+    assert children == tuple(zielonka_children(0b111, worked.accepting.__contains__))
+    assert worked.children(0b111) is children  # kept, not worked out again
+    assert worked == fresh and hash(worked) == hash(fresh)
+    assert len({worked, fresh}) == 1 and repr(worked) == repr(fresh)

@@ -704,6 +704,42 @@ def test_separation_game_draws_no_three_state_table(monkeypatch):
     assert searched == sizes
 
 
+def _child_calls(monkeypatch) -> list[int]:
+    """Labels that core.zielonka_children is asked about from now on."""
+    import mullertools.core as core
+    calls: list[int] = []
+    children = core.zielonka_children
+
+    def counted(label, accepts):
+        calls.append(label)
+        return children(label, accepts)
+
+    monkeypatch.setattr(core, "zielonka_children", counted)
+    return calls
+
+
+def test_solve_works_out_each_label_once(monkeypatch):
+    # the arena's regions and the parity automaton both read the tree
+    rng = random.Random(18)
+    games = [(separation_game(), separation_condition())]
+    while len(games) < 12:
+        arena, cond = random_arena(rng, rng.randint(3, 7), 4), random_condition(rng, 4)
+        if solve_muller_game(arena, cond)[0] == "eve":
+            games.append((arena, MullerCondition(cond.alphabet, cond.accepting)))
+    calls = _child_calls(monkeypatch)
+    for arena, cond in games:
+        calls.clear()
+        assert solve_muller_game(arena, cond)[0] == "eve"
+        assert calls and len(calls) == len(set(calls))
+
+
+def test_memory_search_works_out_each_label_once(monkeypatch):
+    # the winner, then the structure search's lower bound at every size
+    calls = _child_calls(monkeypatch)
+    assert min_chromatic_memory_exhaustive(separation_game(), separation_condition(), 3) == 3
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_lost_game_draws_no_table(monkeypatch):
     # the opponent picks a single colour forever, so the colour player loses
     # with any memory; the condition's least Rabin structure has three

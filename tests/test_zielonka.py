@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mullertools.core import (Alphabet, MullerCondition, PeriodicWord,
-                              ScaleGuard, accepts_up_word)
+from mullertools.core import (Alphabet, MalformedInput, MullerCondition,
+                              PeriodicWord, ScaleGuard, accepts_up_word)
 from mullertools.zielonka import (ascii_tree, general_memory,
                                   is_genbuchi_recognizable, is_half_positional,
                                   memory_requirements, parity_automaton,
@@ -212,7 +212,6 @@ def test_parity_automaton_from_tree_requires_full_root():
     from mullertools.zielonka import ZielonkaTree
     alpha = Alphabet(("a", "b"))
     stub = ZielonkaTree(alpha, 1, True, ())
-    from mullertools.core import MalformedInput
     with pytest.raises(MalformedInput):
         parity_automaton_from_tree(stub)
 
@@ -226,3 +225,40 @@ def test_general_memory_at_least_one(members):
     tree = zielonka_tree(cond)
     assert general_memory(cond) >= 1
     assert tree.leaf_count() >= general_memory(cond)
+
+
+def test_tree_has_one_node_per_label():
+    tree = zielonka_tree(exactly_two("abcd"))
+    # {a} lies below both {a, b} and {a, c}
+    assert tree.children[0].children[0] is tree.children[1].children[0]
+    rng = random.Random(18)
+    for _ in range(100):
+        tree = zielonka_tree(random_condition(rng, rng.randint(1, 6)))
+        nodes, stack = {}, [tree]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node.children)
+        labels = [node.label for node in nodes.values()]
+        assert len(labels) == len(set(labels))
+
+
+def test_parity_automaton_same_on_shared_and_unshared_tree():
+    rng = random.Random(1998)
+    for _ in range(300):
+        tree = zielonka_tree(random_condition(rng, rng.randint(1, 6)))
+        unshared = tree_from_json(tree_to_json(tree))  # one node per occurrence
+        assert unshared.leaf_count() == tree.leaf_count()
+        assert unshared.height() == tree.height()
+        assert parity_automaton_from_tree(unshared) == parity_automaton_from_tree(tree)
+
+
+@pytest.mark.parametrize("label", ["ab", 3, None, {"a": 0, "b": 1}],
+                         ids=["string", "number", "null", "object"])
+def test_tree_reader_checks_the_label_of_every_node(label):
+    data = tree_to_json(zielonka_tree(exactly_two()))
+    assert data["children"][0]["label"] == ["a", "b"]
+    data["children"][0]["label"] = label
+    with pytest.raises(MalformedInput, match="'label' must be a list of symbols"):
+        tree_from_json(data)
