@@ -13,6 +13,7 @@ from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 MAX_ALPHABET = 64
+MAX_COLOUR_BITS = 14  # most colour bits per side of a walk over all covers of _cycle_covers
 
 
 class MullerToolsError(Exception):

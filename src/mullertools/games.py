@@ -3,14 +3,12 @@ synthesis and verification, and searches for small memory structures."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
-from operator import or_
 from typing import Optional
 
 from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
                    PreconditionViolation, PropertyViolation, ScaleGuard,
-                   alternating_children, condition_from_json,
+                   alternating_children, bit_indices, condition_from_json,
                    condition_to_json, cycles_through, is_integer,
                    strongly_connected_components, subcycles)
 from .rabin import MAX_TABLE_CELLS, canonical_structures, min_rabin_size
@@ -173,43 +171,54 @@ class ParitySolution:
     adam_strategy: dict[int, int]
 
 
-def solve_parity_game(game: ParityGame) -> ParitySolution:
-    """Winning regions and positional strategies of an edge-priority game.
+def _zielonka(eve, out, src, dst, colours, root, accepts, children):
+    """Winning regions and choices of Zielonka's decomposition guided by a
+    tree of colour labels (Zielonka 1998; McNaughton 1993), on a work stack,
+    so deep trees do not meet Python's recursion limit.
 
-    Zielonka's attractor decomposition (Zielonka 1998; McNaughton 1993) on
-    the game's own vertices, with a work stack in place of recursion, so
-    deep games do not meet Python's recursion limit.  A subgame is a vertex
-    set with a bound on the priorities: its edges are those with both ends
-    in the set and a priority at most the bound.  Each subgame takes its top
-    priority from per-priority edge buckets (priorities no edge carries cost
-    nothing), attracts that priority's player to its edges, solves the rest
-    under a lower bound and, when the opponent wins some of the rest, solves
-    again without the opponent's attractor to that part.
-    """
-    n = len(game.eve)
-    owner = [0 if eve else 1 for eve in game.eve]
-    out = [game.out_edges(v) for v in range(n)]
-    src, dst, priority = zip(*game.edges)
-    used = sorted(set(priority))
-    rank = {p: r for r, p in enumerate(used)}
-    level = [rank[p] for p in priority]  # priorities by rank
-    bucket: list[list[int]] = [[] for _ in used]
-    into: list[list[int]] = [[] for _ in range(n)]
-    for e, r in enumerate(level):
-        bucket[r].append(e)
+    Each edge carries one colour bit, 0 when silent; no cycle is silent.
+    The tree is given by its root label, accepts(label) and children(label);
+    a leaf counts as having the single child 0.  A subgame is a vertex set
+    with a label, holding the edges between its vertices coloured within
+    it.  It moves down to the deepest node whose label holds its colours,
+    probing only the edges coloured in label ^ child (kids).  Child by
+    child, the node's player (the colour player when it accepts) attracts
+    to the edges coloured outside the child; the rest is solved under the
+    child.  What the opponent wins there, with the opponent's attractor to
+    it, is theirs, and the subgame is solved again without it; once no
+    child leaves the opponent anything, the node's player wins it all.
+
+    Returns ([eve region, adam region], [eve choices, adam choices]).  A
+    player's choices are a winning positional strategy on their region
+    when each node of that player has at most one child."""
+    owner = [0 if mine else 1 for mine in eve]
+    bucket: list[list[int]] = [[] for _ in range(root.bit_length() + 1)]  # by colour bit length
+    into: list[list[int]] = [[] for _ in owner]
+    for e, colour in enumerate(colours):
+        bucket[colour.bit_length()].append(e)
         into[dst[e]].append(e)
 
-    def attract(player: int, rest: set[int], attr: set[int], top: int,
+    apart: dict[int, list[tuple[int, list[int]]]] = {}  # label -> kids(label)
+
+    def kids(label: int) -> list[tuple[int, list[int]]]:
+        """The label's children, each with the edges coloured in label ^ child,
+        kept in apart, which the descent reads without a call."""
+        apart[label] = [(child, [e for c in bit_indices(label ^ child) for e in bucket[c + 1]])
+                        for child in children(label) or (0,)]
+        return apart[label]
+
+    def attract(player: int, rest: set[int], attr: set[int], label: int,
                 seeds: list[int], below: int) -> dict[int, int]:
-        """Grow attr, inside the subgame on rest | attr with priority ranks
-        up to top, by the player's attractor: each seed edge in turn, then
-        the edges of rank under below into each vertex as it joins.  Every
-        edge counts once towards its source.  Returns the edge chosen by
-        each vertex of the player that joins."""
+        """Grow attr, inside the subgame on rest | attr with the label, by
+        the player's attractor: each seed edge in turn, then the edges
+        coloured within below into each vertex as it joins.  Every edge
+        counts once towards its source, so no seed may be coloured within
+        below.  Returns the edge chosen by each vertex of the player that
+        joins."""
         choice: dict[int, int] = {}
         left: dict[int, int] = {}  # subgame edges of an opponent vertex not yet counted
         joined: list[int] = []
-        behind = (e for w in joined for e in into[w] if level[e] < below)
+        behind = (e for w in joined for e in into[w] if colours[e] & below == colours[e])
         for e in chain(seeds, behind):  # joined grows while behind reads it
             u = src[e]
             if u not in rest or u in attr:
@@ -218,7 +227,7 @@ def solve_parity_game(game: ParityGame) -> ParitySolution:
                 choice[u] = e
             else:
                 if u not in left:
-                    left[u] = sum(1 for f in out[u] if level[f] <= top
+                    left[u] = sum(1 for f in out[u] if colours[f] & label == colours[f]
                                   and (dst[f] in rest or dst[f] in attr))
                 left[u] -= 1
                 if left[u]:
@@ -227,55 +236,83 @@ def solve_parity_game(game: ParityGame) -> ParitySolution:
             joined.append(u)
         return choice
 
-    # ("solve", vertices, bound) leaves ([eve region, adam region], [eve
-    # choices, adam choices]) in result; "split" and "join" resume a solve
-    # after its first and second subgame, and may reuse result's contents.
-    work: list[tuple] = [("solve", set(range(n)), len(used) - 1)]
+    # ("solve", vertices, label) leaves ([eve region, adam region], [eve
+    # choices, adam choices]) in result; "split" resumes it after child i's
+    # subgame and "join" after the rest's, and both may reuse result.  A
+    # solve, and a split moving to the next child, end by trying child i.
+    work: list[tuple] = [("solve", set(range(len(owner))), root)]
     while work:
         item = work.pop()
         if item[0] == "solve":
-            _, vertices, bound = item
+            _, vertices, label = item
             if not vertices:
                 result = ([vertices, set()], [{}, {}])
                 continue
-            top, seeds = bound + 1, []
-            while not seeds:
-                top -= 1
-                seeds = [e for e in bucket[top] if src[e] in vertices and dst[e] in vertices]
-            j = used[top] % 2
-            attr: set[int] = set()
-            choice = attract(j, vertices, attr, top, seeds, top)
-            vertices -= attr
-            work.append(("split", bound, top, j, attr, choice))
-            work.append(("solve", vertices, top - 1))
+            seeds: list[int] = []
+            while not seeds:  # down to the deepest node holding the subgame's colours
+                for child, edges in (nodes := apart.get(label) or kids(label)):
+                    found = [e for e in edges if src[e] in vertices and dst[e] in vertices]
+                    if not found:
+                        label, seeds = child, []
+                        break
+                    seeds = seeds or found  # the first child's, tried first
+            i, j = 0, 0 if accepts(label) else 1
         elif item[0] == "split":
-            _, bound, top, j, attr, choice = item
+            _, label, nodes, i, j, attr, choice = item
             regions, choices = result
-            mine, opponent = regions[j], regions[1 - j]
-            mine |= attr
-            if not opponent:
+            vertices, opponent = regions[j], regions[1 - j]
+            vertices |= attr
+            if opponent:
+                # the opponent's attractor to its part, seeded with the edges
+                # into it coloured within the child by id, then the others by
+                # target: the order on the game with each edge subdivided
+                # through a node, which fixes the choices
+                child, edges = nodes[i]
+                lower = sorted(e for u in vertices for e in out[u]
+                               if dst[e] in opponent and colours[e] & child == colours[e])
+                upper = sorted((e for e in edges if src[e] in vertices and dst[e] in opponent),
+                               key=lambda e: (dst[e], e))
+                choices[1 - j].update(attract(1 - j, vertices, opponent, label,
+                                              lower + upper, label))
+                vertices -= opponent
+                work.append(("join", j, opponent, choices[1 - j]))
+                work.append(("solve", vertices, label))
+                continue
+            if i + 1 == len(nodes):
                 choices[j].update(choice)
                 continue
-            # the opponent's attractor to its part, seeded with the edges into
-            # it: those below the top by edge id, then the top ones by target
-            # vertex.  That is the order of the attractor on the game with
-            # each edge subdivided through a node, and it fixes the choices.
-            lower = sorted(e for u in mine for e in out[u]
-                           if level[e] < top and dst[e] in opponent)
-            upper = sorted((e for e in bucket[top] if dst[e] in opponent and src[e] in mine),
-                           key=dst.__getitem__)
-            theirs = choices[1 - j]
-            theirs.update(attract(1 - j, mine, opponent, top, lower + upper, top + 1))
-            mine -= opponent
-            work.append(("join", j, opponent, theirs))
-            work.append(("solve", mine, bound))
+            i += 1
+            seeds = [e for e in nodes[i][1] if src[e] in vertices and dst[e] in vertices]
         else:
             _, j, block, theirs = item
             regions, choices = result
             block |= regions[1 - j]
             theirs.update(choices[1 - j])
             regions[1 - j], choices[1 - j] = block, theirs
-    regions, choices = result
+            continue
+        attr = set()
+        choice = attract(j, vertices, attr, label, seeds, nodes[i][0])
+        vertices -= attr
+        work.append(("split", label, nodes, i, j, attr, choice))
+        work.append(("solve", vertices, nodes[i][0]))
+    return result
+
+
+def solve_parity_game(game: ParityGame) -> ParitySolution:
+    """Winning regions and positional strategies of an edge-priority game.
+
+    The Zielonka solver on the game's own vertices, guided by the rank
+    chain: each priority is one colour bit, by rank, a label's single child
+    drops its top priority, and a label accepts when its top priority is
+    even."""
+    src, dst, priority = zip(*game.edges)
+    used = sorted(set(priority))
+    rank = {p: r for r, p in enumerate(used)}
+    regions, choices = _zielonka(
+        game.eve, [game.out_edges(v) for v in range(len(game.eve))], src, dst,
+        [1 << rank[p] for p in priority], (1 << len(used)) - 1,
+        lambda label: used[label.bit_length() - 1] % 2 == 0,
+        lambda label: (label >> 1,))
     return ParitySolution(frozenset(regions[0]), frozenset(regions[1]), *choices)
 
 
@@ -357,86 +394,19 @@ def _check_colours(arena: Arena, cond: MullerCondition) -> None:
 
 def muller_regions(arena: Arena, cond: MullerCondition
                    ) -> tuple[frozenset[int], frozenset[int]]:
-    """Winning regions of the colour player and of the opponent over the
-    arena's own vertices, decided with no product by Zielonka's recursion
-    guided by the condition's tree (Zielonka 1998; Dziembowski, Jurdziński
-    and Walukiewicz 1997).
-
-    A subgame is a vertex set with a tree label; its edges are those between
-    its vertices whose colours lie in the label (silent edges always).  It
-    moves down to the deepest node whose label holds the colours of its
-    edges.  That node's player, the colour player when the node accepts,
-    wins every play whose colours lie in no child label.  So, child by
-    child, the part the opponent wins of what that player's attractor to the
-    edges coloured outside the child leaves, solved under the child's label,
-    is the opponent's, with the opponent's attractor to it; once no child
-    leaves the opponent anything, the node's player wins the rest.  Each
-    recursive call goes to a strict sub-label, so the recursion is at most
-    as deep as the condition has letters, 16 behind the tree's scale guard.
-    """
+    """Winning regions of the colour player and of the opponent, decided on
+    the arena with no product by the Zielonka solver guided by the
+    condition's tree (Zielonka 1998; Dziembowski, Jurdziński and Walukiewicz
+    1997)."""
     _check_colours(arena, cond)
     check_tree_alphabet(cond)
-    accepts = cond.accepting.__contains__
     bit = [cond.alphabet.bit(sym) for sym in arena.colours.symbols]
-    owner = [0 if eve else 1 for eve in arena.eve]
-    out = [arena.out_edges(v) for v in range(arena.n_vertices)]
     src, dst, colours = zip(*((s, d, 0 if c is None else bit[c])
                               for s, d, c in arena.edges))
-    into: list[list[int]] = [[] for _ in owner]
-    for e, w in enumerate(dst):
-        into[w].append(e)
-
-    def attract(player: int, vertices: set[int], label: int, attr: set[int],
-                seeds: list[int], below: int) -> None:
-        """Grow attr, inside the subgame (vertices, label), by the player's
-        attractor to it and to the seed edges: each seed edge in turn, then
-        the subgame edges coloured within below into each vertex of attr,
-        as it joins.  Every edge counts once towards its source, so no seed
-        may be coloured within below."""
-        left: dict[int, int] = {}  # subgame edges of an opponent vertex not yet counted
-        joined = list(attr)
-        behind = (e for w in joined for e in into[w] if not colours[e] & ~below)
-        for e in chain(seeds, behind):  # joined grows while behind reads it
-            u = src[e]
-            if u not in vertices or u in attr:
-                continue
-            if owner[u] != player:
-                if u not in left:
-                    left[u] = sum(1 for f in out[u]
-                                  if dst[f] in vertices and not colours[f] & ~label)
-                left[u] -= 1
-                if left[u]:
-                    continue
-            attr.add(u)
-            joined.append(u)
-
-    def solve(vertices: set[int], label: int) -> list[set[int]]:
-        """[colour player's region, opponent's region] of the subgame."""
-        regions: list[set[int]] = [set(), set()]
-        while vertices:
-            inside = [e for v in vertices for e in out[v]
-                      if dst[e] in vertices and not colours[e] & ~label]
-            used = reduce(or_, (colours[e] for e in inside), 0)
-            while holding := [c for c in cond.children(label) if not used & ~c]:
-                label = holding[0]  # down to the deepest node holding used
-            mine = 0 if accepts(label) else 1
-            for child in cond.children(label):
-                attr: set[int] = set()
-                attract(mine, vertices, label, attr,
-                        [e for e in inside if colours[e] & ~child], child)
-                lost = solve(vertices - attr, child)[1 - mine]
-                if lost:
-                    attract(1 - mine, vertices, label, lost, [], label)
-                    vertices = vertices - lost
-                    regions[1 - mine] |= lost
-                    break
-            else:
-                regions[mine] |= vertices
-                break
-        return regions
-
-    eve_region, adam_region = solve(set(range(arena.n_vertices)), cond.alphabet.full_mask)
-    return frozenset(eve_region), frozenset(adam_region)
+    regions, _ = _zielonka(arena.eve, [arena.out_edges(v) for v in range(arena.n_vertices)],
+                           src, dst, colours, cond.alphabet.full_mask,
+                           cond.accepting.__contains__, cond.children)
+    return frozenset(regions[0]), frozenset(regions[1])
 
 
 def solve_muller_game(arena: Arena, cond: MullerCondition):

@@ -8,7 +8,7 @@ from functools import cache, partial, reduce
 from operator import or_
 from typing import Iterator, Optional
 
-from .core import (Automaton, MalformedInput, MullerAcceptance,
+from .core import (MAX_COLOUR_BITS, Automaton, MalformedInput, MullerAcceptance,
                    MullerCondition, PreconditionViolation, PropertyViolation,
                    RabinAcceptance, ScaleGuard, UnsupportedOperation,
                    _cycle_covers, accepting_colour_set, alternating_children,
@@ -17,8 +17,6 @@ from .core import (Automaton, MalformedInput, MullerAcceptance,
 from .graphs import SimpleGraph, chromatic_number
 from .zielonka import general_memory
 
-# most colours on either side of muller_equivalent, whose cycle covers it walks
-MAX_COLOUR_BITS = 14
 # most reachable product states of muller_equivalent and of rabin_equivalent
 MAX_MULLER_PRODUCT = 200
 MAX_RABIN_PRODUCT = 4000

@@ -5,10 +5,10 @@ from __future__ import annotations
 from functools import cache, partial, reduce
 from operator import or_
 
-from .core import (Alphabet, Automaton, GenBuchiAcceptance,
-                   PreconditionViolation, UnsupportedOperation, _cycle_covers,
-                   accepting_colour_set, alternating_children, bit_indices,
-                   max_inclusion, strongly_connected_components, subcycles)
+from .core import (MAX_COLOUR_BITS, Alphabet, Automaton, GenBuchiAcceptance,
+                   PreconditionViolation, ScaleGuard, UnsupportedOperation,
+                   _cycle_covers, accepting_colour_set, alternating_children,
+                   bit_indices, max_inclusion, strongly_connected_components, subcycles)
 from .zielonka import ZielonkaTree, parity_automaton_from_tree
 
 
@@ -92,11 +92,17 @@ def minimize_genbuchi(aut: Automaton) -> Automaton:
     of conditions of the form 'this input letter set is met infinitely
     often', so the result is checked against every cycle of the input, each
     labelled with its letters and its colours, and any cover the two
-    acceptances judge differently raises PreconditionViolation.
+    acceptances judge differently raises PreconditionViolation.  Each side
+    of those labels may carry at most MAX_COLOUR_BITS bits.
     """
     if aut.acceptance.kind != "genbuchi":
         raise UnsupportedOperation("this operation needs a generalised Buchi automaton")
     alphabet = aut.input_alphabet
+    n_letters = len(alphabet)
+    for side, count, kind in (("input", n_letters, "letters"),
+                              ("output", aut.used_output_bits().bit_count(), "colours")):
+        if count > MAX_COLOUR_BITS:
+            raise ScaleGuard(f"{side} side uses {count} {kind}, limit {MAX_COLOUR_BITS}")
     full = alphabet.full_mask
     rejecting: list[int] = []
     for needed in aut.acceptance.sets:
@@ -104,7 +110,6 @@ def minimize_genbuchi(aut: Automaton) -> Automaton:
                 if not (1 << colour) & needed]
         rejecting += [letters for _, letters, _ in subcycles(kept, -1)]
     acceptance = GenBuchiAcceptance(tuple(sorted(full & ~bits for bits in max_inclusion(rejecting))))
-    n_letters = len(alphabet)
     labelled = [(q, target, 1 << a | 1 << (n_letters + colour))
                 for q, a, target, colour in aut.edges()]
     for _, cover in _cycle_covers(labelled):

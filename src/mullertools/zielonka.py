@@ -210,11 +210,17 @@ def ascii_tree(tree: ZielonkaTree) -> str:
 
 def trees_isomorphic(left: ZielonkaTree, right: ZielonkaTree) -> bool:
     """Structural equality up to symbol names: same label sets, acceptance
-    flags and child lists, compared recursively in canonical order."""
+    flags and child lists, compared recursively in canonical order.  Each
+    node object's signature is interned once, as a small int."""
+    ints: dict[tuple, int] = {}  # signature -> its int
+    seen: dict[int, int] = {}  # id of a node -> its signature's int
 
-    def signature(node: ZielonkaTree):
-        return (frozenset(node.label_names()), node.accepting,
-                tuple(signature(child) for child in node.children))
+    def signature(node: ZielonkaTree) -> int:
+        if id(node) not in seen:
+            key = (frozenset(node.label_names()), node.accepting,
+                   tuple(map(signature, node.children)))
+            seen[id(node)] = ints.setdefault(key, len(ints))
+        return seen[id(node)]
 
     return signature(left) == signature(right)
 

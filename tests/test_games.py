@@ -10,8 +10,9 @@ from mullertools.core import (Alphabet, MalformedInput, MullerCondition,
                               ScaleGuard)
 from mullertools.games import (Arena, MemoryStructure, ParityGame,
                                StrategyTable, _exists_winning_table,
-                               _rejecting_sets, arena_from_json, arena_to_json,
-                               at_least_two_colours, exactly_two_colours,
+                               _rejecting_sets, _zielonka, arena_from_json,
+                               arena_to_json, at_least_two_colours,
+                               exactly_two_colours,
                                min_chromatic_memory_exhaustive, muller_regions,
                                product_with_parity, separation_chromatic_memory,
                                separation_condition, separation_game,
@@ -20,7 +21,8 @@ from mullertools.games import (Arena, MemoryStructure, ParityGame,
                                strategy_to_json, two_cycle_game,
                                two_state_memory_min2, verify_strategy)
 from mullertools.rabin import canonical_structures, min_rabin_size
-from mullertools.zielonka import general_memory, parity_automaton
+from mullertools.zielonka import (general_memory, memory_requirements,
+                                  parity_automaton)
 
 from generators import random_arena, random_condition, random_solvable_arena
 from oracles import (brute_min_chromatic_memory, full_parity_product,
@@ -430,6 +432,39 @@ def test_muller_regions_match_the_parity_product():
                                                           out_edges, start)
     assert muller_regions(*draws[0]) == (frozenset(), frozenset({0, 1}))
     assert enumerated >= 300 and 600 < winners.count(True) < 1400
+
+
+def test_colour_player_choices_win_when_her_nodes_do_not_branch():
+    # on a half-positional condition every accepting node of the tree has
+    # at most one child, so the solver's choices for the colour player are a
+    # positional strategy, winning from every vertex of her region; the
+    # opponent's nodes may branch, so the trees need not be chains
+    rng = random.Random(1997)
+    arenas = checks = branching = 0
+    while arenas < 2000:
+        arena, cond = next(muller_draws(rng, 1))
+        if not memory_requirements(cond).half_positional:
+            continue
+        arenas += 1
+        labels = [cond.alphabet.full_mask]
+        for label in labels:
+            labels += cond.children(label)
+        branching += any(len(cond.children(label)) > 1 for label in labels)
+        bit = [cond.alphabet.bit(sym) for sym in arena.colours.symbols]
+        src, dst, colours = zip(*((s, d, 0 if c is None else bit[c])
+                                  for s, d, c in arena.edges))
+        regions, choices = _zielonka(
+            arena.eve, [arena.out_edges(v) for v in range(arena.n_vertices)],
+            src, dst, colours, cond.alphabet.full_mask, cond.accepting.__contains__,
+            cond.children)
+        assert (frozenset(regions[0]), frozenset(regions[1])) == muller_regions(arena, cond)
+        memory = MemoryStructure("chromatic", 1, 0, ((0,) * len(arena.colours),))
+        table = StrategyTable.from_dict({(v, 0): e for v, e in choices[0].items()})
+        for v in regions[0]:
+            start = Arena(arena.colours, arena.eve, v, arena.edges)
+            assert verify_strategy(start, cond, memory, table)
+            checks += 1
+    assert checks > 5000 and branching > 300
 
 
 def test_verify_strategy_rejects_losing_table():

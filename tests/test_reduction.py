@@ -7,8 +7,9 @@ import pytest
 
 from mullertools.core import (Alphabet, Automaton, GenBuchiAcceptance,
                               MullerCondition, ParityAcceptance, PeriodicWord,
-                              PreconditionViolation, UnsupportedOperation,
-                              accepts_up_word, build_automaton)
+                              PreconditionViolation, ScaleGuard,
+                              UnsupportedOperation, accepts_up_word,
+                              build_automaton)
 from mullertools.reduction import (minimize_genbuchi, minimize_parity,
                                    zielonka_tree_from_parity)
 from mullertools.zielonka import (parity_automaton, trees_isomorphic,
@@ -120,6 +121,21 @@ def test_minimize_genbuchi_refuses_order_dependent_language():
     # one state cannot tell whether b came right after a
     with pytest.raises(PreconditionViolation, match="not a conjunction"):
         minimize_genbuchi(a_then_b(GenBuchiAcceptance((0b01,))))
+
+
+def test_minimize_genbuchi_guards_its_cycle_walk():
+    # one state with a self-loop per letter, letter i emitting colour i: the
+    # self-check walks a cover for every non-empty set of letters
+    def loops(n):
+        names = Alphabet(tuple(f"l{i}" for i in range(n)))
+        return Automaton(1, 0, names, names, (tuple((0, i) for i in range(n)),),
+                         GenBuchiAcceptance((0b01, 0b10)))
+
+    start = time.perf_counter()
+    with pytest.raises(ScaleGuard, match="input side uses 16 letters, limit 14"):
+        minimize_genbuchi(loops(16))
+    assert time.perf_counter() - start < 0.5
+    assert minimize_genbuchi(loops(14)).acceptance.sets == (0b01, 0b10)
 
 
 def test_minimize_parity_refuses_order_dependent_language():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mullertools.core import (Alphabet, MalformedInput, MullerCondition,
                               PeriodicWord, ScaleGuard, accepts_up_word)
-from mullertools.zielonka import (ascii_tree, general_memory,
+from mullertools.zielonka import (ZielonkaTree, ascii_tree, general_memory,
                                   is_genbuchi_recognizable, is_half_positional,
                                   memory_requirements, parity_automaton,
                                   parity_automaton_from_tree, priorities_used,
@@ -242,6 +242,32 @@ def test_tree_has_one_node_per_label():
                 stack.extend(node.children)
         labels = [node.label for node in nodes.values()]
         assert len(labels) == len(set(labels))
+
+
+def test_tree_isomorphism_looks_at_each_node_once(monkeypatch):
+    # two builds of one tree share no node object; within each, many labels
+    # recur under several parents
+    cond = random_condition(random.Random(9), 8)
+    tree, again = zielonka_tree(cond), zielonka_tree(cond)
+    nodes, stack = set(), [tree, again]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes.add(id(node))
+            stack.extend(node.children)
+    calls = 0
+    label_names = ZielonkaTree.label_names
+
+    def counted(node):
+        nonlocal calls
+        calls += 1
+        return label_names(node)
+
+    monkeypatch.setattr(ZielonkaTree, "label_names", counted)
+    assert trees_isomorphic(tree, again)
+    assert calls <= len(nodes)
+    flipped = frozenset(range(1, cond.alphabet.full_mask + 1)) - cond.accepting
+    assert not trees_isomorphic(tree, zielonka_tree(MullerCondition(cond.alphabet, flipped)))
 
 
 def test_parity_automaton_same_on_shared_and_unshared_tree():
