@@ -17,6 +17,8 @@ from .games import (arena_from_json, arena_to_json, at_least_two_colours,
 from .graphs import (chromatic_number, colouring_from_json, colouring_to_json,
                      colouring_to_rabin, edge_alternation_automaton,
                      graph_edge_condition, parse_dimacs, rabin_to_colouring)
+# rabincheck reads typeness off synthesize_rabin_pairs; check_rabin_typeable
+# stays importable here because perfbench/spans.py wraps it under this name
 from .rabin import (NotRabinTypeable, check_rabin_typeable, min_rabin_size,
                     muller_equivalent, rabin_equivalent, synthesize_rabin_pairs)
 from .reduction import minimize_genbuchi, minimize_parity
@@ -127,11 +129,11 @@ def _cmd_minbuchi(args) -> int:
 
 def _cmd_rabincheck(args) -> int:
     aut = automaton_from_json(_read_json(args.automaton))
-    report = check_rabin_typeable(aut)
-    if not report.typeable:
-        print(f"not typeable: {NotRabinTypeable(aut, report)}", file=sys.stderr)
+    try:
+        recoloured = synthesize_rabin_pairs(aut)
+    except NotRabinTypeable as exc:
+        print(f"not typeable: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    recoloured = synthesize_rabin_pairs(aut)
     _emit(args, automaton_to_json(recoloured), _summarise_automaton(recoloured))
     return EXIT_OK
 

@@ -369,6 +369,28 @@ def build_automaton(*, initial: int,
                      tuple(tuple(row) for row in rows), acceptance)
 
 
+def quotient(aut: Automaton, outputs: Sequence) -> Automaton:
+    """Merge the states from which every word produces the same sequence of
+    outputs[colour], by Moore partition refinement (Moore 1956); a class
+    keeps the colours of its least member.  A closed walk keeps its letters
+    and its outputs, so every verdict read from closed walks stays the same.
+    """
+    block, count = [0] * aut.n_states, 0
+    keys: dict[object, int] = {None: 0}  # the one starting block
+    while len(keys) > count:  # each round refines the last, until none splits
+        count, keys = len(keys), {}
+        block = [keys.setdefault((block[q], tuple((block[t], outputs[c]) for t, c in row)),
+                                 len(keys)) for q, row in enumerate(aut.delta)]
+    names = aut.output_alphabet.symbols
+    # a dict keeps the last write, so the least member of a class writes last
+    transitions = {(block[q], sym): (block[target], names[colour])
+                   for q in reversed(range(aut.n_states))
+                   for sym, (target, colour) in zip(aut.input_alphabet.symbols, aut.delta[q])}
+    return build_automaton(initial=block[aut.initial], transitions=transitions,
+                           input_symbols=aut.input_alphabet,
+                           output_symbols=aut.output_alphabet, acceptance=aut.acceptance)
+
+
 def strongly_connected_components(
         vertices: Iterable[int],
         edges: Sequence[tuple],

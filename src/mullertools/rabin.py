@@ -12,7 +12,7 @@ from .core import (MAX_COLOUR_BITS, Automaton, MalformedInput, MullerAcceptance,
                    MullerCondition, PreconditionViolation, PropertyViolation,
                    RabinAcceptance, ScaleGuard, UnsupportedOperation,
                    _cycle_covers, accepting_colour_set, alternating_children,
-                   cycles_through, strongly_connected_components, subcycles,
+                   cycles_through, quotient, strongly_connected_components, subcycles,
                    transition_alphabet, zielonka_children)
 from .graphs import SimpleGraph, chromatic_number
 from .zielonka import general_memory
@@ -134,12 +134,15 @@ def synthesize_rabin_pairs(aut: Automaton) -> Automaton:
 
 
 def _reachable_product(a1: Automaton, a2: Automaton, max_states: int):
-    """Synchronous product reachable from the initial pair.
+    """Synchronous product of the quotients by colour of the two automata,
+    reachable from the initial pair; max_states bounds its pairs of merged
+    states.
 
     Returns the edges, each (src, dst, colour bit of a1, colour bit of a2).
     """
     if set(a1.input_alphabet.symbols) != set(a2.input_alphabet.symbols):
         raise MalformedInput("automata read different input alphabets")
+    a1, a2 = (quotient(a, range(len(a.output_alphabet))) for a in (a1, a2))
     remap = [a2.input_alphabet.position(sym) for sym in a1.input_alphabet.symbols]
     index: dict[tuple[int, int], int] = {(a1.initial, a2.initial): 0}
     queue = [(a1.initial, a2.initial)]

@@ -2,13 +2,15 @@
 automaton, and minimisation of parity and generalised Buchi automata."""
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cache, partial, reduce
 from operator import or_
 
 from .core import (MAX_COLOUR_BITS, Alphabet, Automaton, GenBuchiAcceptance,
                    PreconditionViolation, ScaleGuard, UnsupportedOperation,
                    _cycle_covers, accepting_colour_set, alternating_children,
-                   bit_indices, max_inclusion, strongly_connected_components, subcycles)
+                   bit_indices, max_inclusion, quotient, strongly_connected_components,
+                   subcycles)
 from .zielonka import ZielonkaTree, parity_automaton_from_tree
 
 
@@ -35,12 +37,13 @@ def zielonka_tree_from_parity(aut: Automaton) -> ZielonkaTree:
     """Alternating-subset tree of the language of a parity automaton.
 
     Works on one closed strongly connected component of the automaton graph
-    (the one containing the smallest state id); the language restricted to
-    infinite behaviours lives entirely inside such components.  A node's
-    children are the largest letter sets of its alternating_children, the
-    largest subcycles on the other side of the acceptance, each grown to the
-    closed part over its letters.  A parity cover has one Zielonka child:
-    its colours up to the top priority of the other parity.
+    (the one containing the smallest state id), merged to its quotient by
+    priority; the language restricted to infinite behaviours lives entirely
+    inside such components.  A node's children are the largest letter sets
+    of its alternating_children, the largest subcycles on the other side of
+    the acceptance, each grown to the closed part over its letters once.  A
+    parity cover has one Zielonka child: its colours up to the top priority
+    of the other parity.
     """
     if aut.acceptance.kind != "parity":
         raise UnsupportedOperation("this operation needs a parity automaton")
@@ -56,6 +59,8 @@ def zielonka_tree_from_parity(aut: Automaton) -> ZielonkaTree:
             return []
         return [sum(1 << i for i in bit_indices(colours) if prio[i] <= max(other))]
 
+    nodes: dict[int, ZielonkaTree] = {}
+
     def build(edges) -> ZielonkaTree:
         cover, label = reduce(or_, (e[2] for e in edges)), _letters(edges)
         kids = []
@@ -66,11 +71,17 @@ def zielonka_tree_from_parity(aut: Automaton) -> ZielonkaTree:
                 # two cycles over the same letters with different verdicts
                 raise PreconditionViolation(
                     "not a Muller condition over the input letters")
-            kids.append(build(_closed_part(edges, letter_bits)))
+            if letter_bits not in nodes:
+                nodes[letter_bits] = build(_closed_part(edges, letter_bits))
+            kids.append(nodes[letter_bits])
         return ZielonkaTree(alphabet, label, accepts(cover), tuple(kids))
 
-    edges = [(q, target, 1 << colour, a) for q, a, target, colour in aut.edges()]
-    return build(_closed_part(edges, alphabet.full_mask))
+    def edges_of(aut: Automaton) -> list[tuple[int, int, int, int]]:
+        return [(q, target, 1 << colour, a) for q, a, target, colour in aut.edges()]
+
+    least = _closed_part(edges_of(aut), alphabet.full_mask)[0][0]
+    # the closed part is strongly connected: it is all that its least state reaches
+    return build(edges_of(quotient(replace(aut, initial=least), prio)))
 
 
 def minimize_parity(aut: Automaton) -> Automaton:

@@ -15,14 +15,15 @@ from mullertools.core import (Alphabet, GenBuchiAcceptance, MalformedInput,
                               bit_indices, build_automaton,
                               complement_condition, condition_from_json,
                               condition_to_json, dualise, edge_component,
-                              max_inclusion,
+                              max_inclusion, quotient,
                               realizable_cycle_sets,
                               strongly_connected_components, submasks,
                               zielonka_children)
 
-from generators import random_condition, random_muller_automaton
+from generators import (inflate, random_condition, random_muller_automaton,
+                        random_parity_automaton)
 from oracles import (automaton_cycle_sets, closed_walk_sets, edge_walks,
-                     quad_max_inclusion, scc_by_reachability)
+                     product_agrees, quad_max_inclusion, scc_by_reachability)
 
 
 def test_alphabet_basics():
@@ -153,6 +154,27 @@ def test_build_automaton_rejects_partial_tables():
         build_automaton(initial=0, transitions={(0, "a"): (0, "0")},
                         input_symbols=("a", "b"), output_symbols=("0",),
                         acceptance=GenBuchiAcceptance((1,)))
+
+
+def test_quotient_keeps_the_language_and_forgets_inflation():
+    # parity automata merge states by priority, Muller automata by colour
+    rng = random.Random(163)
+    merged = 0
+    for i in range(200):
+        if i % 2:
+            aut = random_parity_automaton(rng, rng.randint(1, 4), 2, 2)
+            outputs = aut.acceptance.priorities
+        else:
+            aut = random_muller_automaton(rng, rng.randint(1, 5), 2, 2)
+            outputs = range(len(aut.output_alphabet))
+        small = quotient(aut, outputs)
+        big = inflate(aut, rng, 3)
+        big_small = quotient(big, outputs)
+        assert product_agrees(aut, small)
+        assert product_agrees(big, big_small)
+        assert big_small.n_states == small.n_states
+        merged += small.n_states < aut.n_states
+    assert merged >= 10
 
 
 def test_scc_decomposition():

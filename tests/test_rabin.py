@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,8 @@ from mullertools.core import (Alphabet, Automaton, MullerAcceptance,
                               MullerCondition, ParityAcceptance, PeriodicWord,
                               PreconditionViolation, ScaleGuard,
                               accepting_colour_set, accepts_up_word,
-                              build_automaton, condition_to_json)
+                              build_automaton, complement_condition,
+                              condition_to_json)
 from mullertools.rabin import (NotRabinTypeable, RabinTypenessReport,
                                _conflicts, _kept_first_rows, _letter_swaps,
                                _lower_bound,
@@ -322,6 +324,19 @@ def test_product_scale_guard(monkeypatch):
     monkeypatch.setattr(rabin, "MAX_MULLER_PRODUCT", 5)
     with pytest.raises(ScaleGuard, match="product reached 6 states, limit 5"):
         muller_equivalent(aut, aut)
+
+
+def test_product_guard_counts_pairs_of_merged_states():
+    # 140 drawn states, 120 of them reachable, and a 3x inflated copy with
+    # 282: the product of the automata themselves passes 200 pairs, while
+    # the product of their quotients by colour stays on the diagonal
+    rng = random.Random(7)
+    aut = random_muller_automaton(rng, 140, 2, 4)
+    big = inflate(aut, rng, 3)
+    assert (aut.n_states, big.n_states) == (120, 282)
+    assert muller_equivalent(aut, big)
+    flipped = MullerAcceptance(complement_condition(big.acceptance.condition))
+    assert not muller_equivalent(aut, replace(big, acceptance=flipped))
 
 
 def test_canonical_structures_counts():
