@@ -8,8 +8,7 @@ from .core import (Alphabet, Automaton, GenBuchiAcceptance, GenCoBuchiAcceptance
                    ScaleGuard, StreettAcceptance, UnsupportedOperation,
                    accepts_up_word, automaton_from_json, automaton_to_json,
                    build_automaton, complement_condition, condition_from_json,
-                   condition_to_json, dualise, max_inclusion,
-                   realizable_cycle_sets)
+                   condition_to_json, dualise, max_inclusion)
 from .games import (Arena, MemoryStructure, StrategyTable, arena_from_json,
                     arena_to_json, at_least_two_colours, exactly_two_colours,
                     min_chromatic_memory_exhaustive, muller_regions,

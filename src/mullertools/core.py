@@ -13,7 +13,6 @@ from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 MAX_ALPHABET = 64
-MAX_COLOUR_BITS = 14  # most colour bits per side of a walk over all covers of _cycle_covers
 
 
 class MullerToolsError(Exception):
@@ -182,6 +181,8 @@ def complement_condition(cond: MullerCondition) -> MullerCondition:
 
 @dataclass(frozen=True)
 class MullerAcceptance:
+    """A Muller condition over the automaton's output alphabet, in its order."""
+
     condition: MullerCondition
     kind = "muller"
 
@@ -316,6 +317,9 @@ class Automaton:
                     raise MalformedInput("transition target out of range")
                 if not 0 <= colour < n_out:
                     raise MalformedInput("transition colour out of range")
+        if (self.acceptance.kind == "muller"
+                and self.acceptance.condition.alphabet != self.output_alphabet):
+            raise MalformedInput("a Muller acceptance must be over the output alphabet")
 
     def successor(self, state: int, symbol: str) -> tuple[int, int]:
         return self.delta[state][self.input_alphabet.position(symbol)]
@@ -459,57 +463,6 @@ def strongly_connected_components(
     return [(tuple(m), tuple(inner)) for m, inner in zip(members, internal)]
 
 
-def _cycle_covers(edges: Sequence[tuple[int, int, int]]
-                  ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every strongly connected component of every label restriction of a
-    graph, once each, as (sorted vertex tuple, cover).
-
-    edges are (src, dst, label) with label a bitset.  A restriction drops the
-    edges whose label meets some set of bits; silent edges (label 0) are
-    never dropped.  A component's cover is the union of its internal edges'
-    labels.  Each component with an internal edge that is strongly connected
-    in the restriction to the labels inside its own cover is yielded, so the
-    covers at a vertex are exactly the label sets of closed walks through it.
-
-    Emerson-Lei refinement, with no memo: a component is split again once per
-    free bit, where the i-th child drops that bit and must keep the free bits
-    before it, so no cover is reached twice.  A child whose kept edges'
-    labels do not hold all its required bits is not split at all: every
-    component's cover lies inside that union.  The search is depth first:
-    top-level components come in order of smallest vertex, each with all
-    covers inside it before the next, and a component comes before the
-    covers inside it, so a consumer may stop at the first cover it rejects.
-    Only muller_equivalent, minimize_genbuchi's self-check and
-    realizable_cycle_sets need every cover; the other cycle questions,
-    Rabin pair synthesis among them, walk alternating_children.
-    """
-    def split(edges, vertices, need):
-        found = []
-        for comp, internal in strongly_connected_components(vertices, edges):
-            cover = 0
-            for e in internal:
-                cover |= e[2]
-            if internal and not need & ~cover:
-                found.append((comp, internal, cover, need))
-        return found
-
-    ends = {v for e in edges for v in e[:2]}
-    stack = split(edges, ends, 0)[::-1]
-    while stack:
-        comp, internal, cover, need = stack.pop()
-        yield comp, cover
-        children = []
-        free = cover & ~need
-        while free:
-            bit = free & -free
-            free ^= bit
-            kept = [e for e in internal if not e[2] & bit]
-            if not need & ~reduce(or_, (e[2] for e in kept), 0):
-                children += split(kept, comp, need)
-            need |= bit
-        stack += reversed(children)
-
-
 def edge_component(out: list[list[tuple[int, int]]], src: int, dst: int,
                     forbidden: int, within: set[int] | None = None
                     ) -> tuple[set[int], int]:
@@ -562,24 +515,6 @@ def cycles_through(out: list[list[tuple[int, int]]], src: int, dst: int,
         comp, cover = edge_component(out, src, dst, ~colours, within)
         if cover == colours:
             yield comp, colours
-
-
-def realizable_cycle_sets(aut: Automaton, state: int, *, over: str = "output") -> frozenset[int]:
-    """All colour bitsets realizable as cycles through the given state: the
-    colour sets of the strongly connected edge sets through it.
-
-    over selects whether edge colours are taken from the output colouring
-    (default) or from the input symbols.
-    """
-    if not 0 <= state < aut.n_states:
-        raise MalformedInput("state out of range")
-    if over not in ("output", "input"):
-        raise MalformedInput("over must be 'output' or 'input'")
-    edges = [(q, target, 1 << (colour if over == "output" else a))
-             for q, a, target, colour in aut.edges()]
-    if len(colours := {bit for _, _, bit in edges}) > 20:
-        raise ScaleGuard(f"{len(colours)} distinct colours, limit 20")
-    return frozenset(cover for comp, cover in _cycle_covers(edges) if state in comp)
 
 
 @dataclass(frozen=True)
@@ -752,8 +687,13 @@ def acceptance_from_json(data: object, output_alphabet: Alphabet) -> Acceptance:
         raise MalformedInput("acceptance must be an object with a 'kind' field")
     kind = data["kind"]
     if kind == "muller":
-        return MullerAcceptance(condition_from_json(
-            {"alphabet": data.get("alphabet"), "accepting": data.get("accepting")}))
+        cond = condition_from_json(
+            {"alphabet": data.get("alphabet"), "accepting": data.get("accepting")})
+        if set(cond.alphabet) != set(output_alphabet):
+            raise MalformedInput("Muller acceptance alphabet must name the output symbols")
+        if cond.alphabet != output_alphabet:  # the sets name symbols; colours follow output
+            cond = MullerCondition.make(output_alphabet, data["accepting"])
+        return MullerAcceptance(cond)
     if kind == "parity":
         prios = data.get("priorities")
         if not isinstance(prios, dict):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
                    PropertyViolation, RabinAcceptance, ScaleGuard, is_integer,
                    transition_alphabet)
-from .zielonka import ZielonkaTree, zielonka_tree
+from .zielonka import zielonka_tree  # unused here; perfbench wraps it by this name
 
 MAX_VERTICES = 64
 # most vertex colourings the colouring search may try: a random 50-vertex
@@ -174,31 +174,6 @@ def graph_edge_condition(graph: SimpleGraph) -> MullerCondition:
     family = frozenset(alphabet.bits((str(u), str(v)))
                        for u, v in graph.normalised_edges())
     return MullerCondition(alphabet, family)
-
-
-def graph_condition_tree(graph: SimpleGraph) -> ZielonkaTree:
-    """Alternating-subset tree of the edge condition, built by the shape
-    shortcut: one accepting child per edge, each with two singleton leaves.
-
-    The shortcut needs the full vertex set itself to be rejecting, which
-    fails exactly for the two-vertex complete graph; that case (and any other
-    where the root would be accepting) falls back to the general builder.
-    """
-    cond = graph_edge_condition(graph)
-    alphabet = cond.alphabet
-    full = alphabet.full_mask
-    if full in cond.accepting:
-        return zielonka_tree(cond)
-    children = []
-    for u, v in graph.normalised_edges():
-        bits_u = alphabet.bit(str(u))
-        bits_v = alphabet.bit(str(v))
-        leaves = tuple(sorted((bits_u, bits_v)))
-        children.append(ZielonkaTree(
-            alphabet, bits_u | bits_v, True,
-            tuple(ZielonkaTree(alphabet, b, False, ()) for b in leaves)))
-    children.sort(key=lambda child: child.label)
-    return ZielonkaTree(alphabet, full, False, tuple(children))
 
 
 def edge_alternation_automaton(graph: SimpleGraph) -> Automaton:

@@ -6,20 +6,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from operator import or_
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from .core import (MAX_COLOUR_BITS, Automaton, MalformedInput, MullerAcceptance,
-                   MullerCondition, PreconditionViolation, PropertyViolation,
-                   RabinAcceptance, ScaleGuard, UnsupportedOperation,
-                   _cycle_covers, accepting_colour_set, alternating_children,
-                   cycles_through, quotient, strongly_connected_components, subcycles,
-                   transition_alphabet, zielonka_children)
+from .core import (Automaton, MalformedInput, MullerAcceptance, MullerCondition,
+                   PreconditionViolation, PropertyViolation, RabinAcceptance,
+                   ScaleGuard, UnsupportedOperation, accepting_colour_set,
+                   alternating_children, cycles_through, quotient,
+                   strongly_connected_components, subcycles, transition_alphabet,
+                   zielonka_children)
 from .graphs import SimpleGraph, chromatic_number
 from .zielonka import general_memory
 
 # most reachable product states of muller_equivalent and of rabin_equivalent
 MAX_MULLER_PRODUCT = 200
 MAX_RABIN_PRODUCT = 4000
+MAX_COLOUR_BITS = 14  # most colour bits per side of a walk over all covers of _cycle_covers
 # most cells (states × letters) of a table the structure search may fill
 MAX_TABLE_CELLS = 36
 
@@ -182,25 +183,74 @@ def _exists_accepted_rejected(edges, meet_bits: int, streett_pairs) -> bool:
     return False
 
 
-def _rabin_containment_fails(a1: Automaton, a2: Automaton) -> bool:
-    """True when some word is accepted by a1 but rejected by a2."""
-    edges = _reachable_product(a1, a2, MAX_RABIN_PRODUCT)
-    return any(_exists_accepted_rejected([e for e in edges if not e[2] & avoid],
-                                         meet, a2.acceptance.pairs)
-               for meet, avoid in a1.acceptance.pairs)
-
-
 def rabin_equivalent(a1: Automaton, a2: Automaton) -> bool:
     """Language equality of two deterministic Rabin automata.
 
-    Checks both containments on the synchronous product; a missing word shows
-    up as a strongly connected edge set accepted by one side (meets a pair's
-    first component, avoids its second) on which the other side fails every
-    one of its pairs read as Streett constraints.
+    Checks both containments on one synchronous product, read with its
+    colour columns in either order; a missing word shows up as a strongly
+    connected edge set accepted by one side (meets a pair's first component,
+    avoids its second) on which the other side fails every one of its pairs
+    read as Streett constraints.
     """
     if a1.acceptance.kind != "rabin" or a2.acceptance.kind != "rabin":
         raise UnsupportedOperation("rabin_equivalent needs Rabin acceptance on both sides")
-    return not (_rabin_containment_fails(a1, a2) or _rabin_containment_fails(a2, a1))
+    edges = _reachable_product(a1, a2, MAX_RABIN_PRODUCT)
+    swapped = [(src, dst, c2, c1) for src, dst, c1, c2 in edges]
+    return not any(_exists_accepted_rejected([e for e in product if not e[2] & avoid],
+                                             meet, right.acceptance.pairs)
+                   for product, left, right in ((edges, a1, a2), (swapped, a2, a1))
+                   for meet, avoid in left.acceptance.pairs)
+
+
+def _cycle_covers(edges: Sequence[tuple[int, int, int]]
+                  ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every strongly connected component of every label restriction of a
+    graph, once each, as (sorted vertex tuple, cover).
+
+    edges are (src, dst, label) with label a bitset.  A restriction drops the
+    edges whose label meets some set of bits; silent edges (label 0) are
+    never dropped.  A component's cover is the union of its internal edges'
+    labels.  Each component with an internal edge that is strongly connected
+    in the restriction to the labels inside its own cover is yielded, so the
+    covers at a vertex are exactly the label sets of closed walks through it.
+
+    Emerson-Lei refinement, with no memo: a component is split again once per
+    free bit, where the i-th child drops that bit and must keep the free bits
+    before it, so no cover is reached twice.  A child whose kept edges'
+    labels do not hold all its required bits is not split at all: every
+    component's cover lies inside that union.  The search is depth first:
+    top-level components come in order of smallest vertex, each with all
+    covers inside it before the next, and a component comes before the
+    covers inside it, so a consumer may stop at the first cover it rejects.
+    Only muller_equivalent needs every cover; the other cycle questions,
+    Rabin pair synthesis and the generalised Buchi self-check among them,
+    walk core.subcycles.
+    """
+    def split(edges, vertices, need):
+        found = []
+        for comp, internal in strongly_connected_components(vertices, edges):
+            cover = 0
+            for e in internal:
+                cover |= e[2]
+            if internal and not need & ~cover:
+                found.append((comp, internal, cover, need))
+        return found
+
+    ends = {v for e in edges for v in e[:2]}
+    stack = split(edges, ends, 0)[::-1]
+    while stack:
+        comp, internal, cover, need = stack.pop()
+        yield comp, cover
+        children = []
+        free = cover & ~need
+        while free:
+            bit = free & -free
+            free ^= bit
+            kept = [e for e in internal if not e[2] & bit]
+            if not need & ~reduce(or_, (e[2] for e in kept), 0):
+                children += split(kept, comp, need)
+            need |= bit
+        stack += reversed(children)
 
 
 def muller_equivalent(a1: Automaton, a2: Automaton) -> bool:

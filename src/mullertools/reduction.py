@@ -6,9 +6,8 @@ from dataclasses import replace
 from functools import cache, partial, reduce
 from operator import or_
 
-from .core import (MAX_COLOUR_BITS, Alphabet, Automaton, GenBuchiAcceptance,
-                   PreconditionViolation, ScaleGuard, UnsupportedOperation,
-                   _cycle_covers, accepting_colour_set, alternating_children,
+from .core import (Alphabet, Automaton, GenBuchiAcceptance, PreconditionViolation,
+                   UnsupportedOperation, accepting_colour_set, alternating_children,
                    bit_indices, max_inclusion, quotient, strongly_connected_components,
                    subcycles)
 from .zielonka import ZielonkaTree, parity_automaton_from_tree
@@ -101,35 +100,29 @@ def minimize_genbuchi(aut: Automaton) -> Automaton:
     inclusion-maximal rejecting input sets, whose complements are the new
     acceptance sets.  That is only right when the language is a conjunction
     of conditions of the form 'this input letter set is met infinitely
-    often', so the result is checked against every cycle of the input, each
-    labelled with its letters and its colours, and any cover the two
-    acceptances judge differently raises PreconditionViolation.  Each side
-    of those labels may carry at most MAX_COLOUR_BITS bits.
+    often'.  A cycle the input rejects lies in one of those parts, so the
+    result rejects it too; the result is wrong exactly when a strongly
+    connected part over the letters of a maximal rejecting set has colours
+    meeting every acceptance set (Emerson-Lei 1987), and then
+    PreconditionViolation is raised.
     """
     if aut.acceptance.kind != "genbuchi":
         raise UnsupportedOperation("this operation needs a generalised Buchi automaton")
     alphabet = aut.input_alphabet
-    n_letters = len(alphabet)
-    for side, count, kind in (("input", n_letters, "letters"),
-                              ("output", aut.used_output_bits().bit_count(), "colours")):
-        if count > MAX_COLOUR_BITS:
-            raise ScaleGuard(f"{side} side uses {count} {kind}, limit {MAX_COLOUR_BITS}")
-    full = alphabet.full_mask
+    edges = [(q, target, 1 << a, 1 << colour) for q, a, target, colour in aut.edges()]
     rejecting: list[int] = []
     for needed in aut.acceptance.sets:
-        kept = [(q, target, 1 << a) for q, a, target, colour in aut.edges()
-                if not (1 << colour) & needed]
+        kept = [e for e in edges if not e[3] & needed]
         rejecting += [letters for _, letters, _ in subcycles(kept, -1)]
-    acceptance = GenBuchiAcceptance(tuple(sorted(full & ~bits for bits in max_inclusion(rejecting))))
-    labelled = [(q, target, 1 << a | 1 << (n_letters + colour))
-                for q, a, target, colour in aut.edges()]
-    for _, cover in _cycle_covers(labelled):
-        if (accepting_colour_set(aut.acceptance, cover >> n_letters)
-                != accepting_colour_set(acceptance, cover & full)):
-            raise PreconditionViolation(
-                "language is not a conjunction of input letter sets met"
-                " infinitely often")
-    row = tuple((0, a) for a in range(n_letters))
+    maximal = max_inclusion(rejecting)
+    for letters in maximal:
+        for _, _, inner in subcycles(edges, letters):
+            if accepting_colour_set(aut.acceptance, reduce(or_, (e[3] for e in inner))):
+                raise PreconditionViolation(
+                    "language is not a conjunction of input letter sets met"
+                    " infinitely often")
+    acceptance = GenBuchiAcceptance(tuple(sorted(alphabet.full_mask & ~bits for bits in maximal)))
+    row = tuple((0, a) for a in range(len(alphabet)))
     return Automaton(1, 0, alphabet, Alphabet(alphabet.symbols), (row,), acceptance)
 
 

@@ -64,7 +64,8 @@ def edge_walks(edges, src: int, dst: int, label: int, forbidden: int,
 
 
 def automaton_cycle_sets(aut: Automaton, state: int, over: str = "output") -> set[int]:
-    """Reference for realizable_cycle_sets, via closed walks."""
+    """Colour sets (over="output") or letter sets (over="input") of the
+    closed walks through a state, via closed walks."""
     edges = []
     for src in range(aut.n_states):
         for a, (dst, out) in enumerate(aut.delta[src]):
@@ -258,6 +259,25 @@ def product_agrees(a1: Automaton, a2: Automaton) -> bool:
                == colour_set_wins(a2.acceptance, mask >> shift)
                for node in range(len(index))
                for mask in closed_walk_sets(len(index), edges, node))
+
+
+def one_state_genbuchi_exists(aut: Automaton) -> bool:
+    """Whether the language of a generalised Buchi automaton is a conjunction
+    of letter sets met infinitely often: the closed walks, labelled with
+    their letters and colours, give each letter set one verdict, and no
+    accepted letter set lies inside a rejected one."""
+    n_letters = len(aut.input_alphabet.symbols)
+    edges = [(q, dst, 1 << a | 1 << (n_letters + out))
+             for q in range(aut.n_states) for a, (dst, out) in enumerate(aut.delta[q])]
+    verdicts: dict[int, set[bool]] = {}
+    for q in range(aut.n_states):
+        for mask in closed_walk_sets(aut.n_states, edges, q):
+            letters = mask & ((1 << n_letters) - 1)
+            verdicts.setdefault(letters, set()).add(
+                colour_set_wins(aut.acceptance, mask >> n_letters))
+    accepted = [letters for letters, seen in verdicts.items() if True in seen]
+    rejected = [letters for letters, seen in verdicts.items() if False in seen]
+    return not any(a & ~r == 0 for a in accepted for r in rejected)
 
 
 def strategy_wins(arena, cond, memory, moves) -> bool:

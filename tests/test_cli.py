@@ -178,6 +178,27 @@ def test_equiv_same_and_different(capsys, tmp_path):
     assert json.loads(out3)["equivalent"] is False
 
 
+def test_muller_acceptance_alphabet_is_read_by_name(capsys, tmp_path):
+    # x is colour 0 of the automaton and position 1 of the first file's
+    # acceptance alphabet: both files accept a^ω
+    def write(names):
+        path = tmp_path / f"{''.join(names)}.json"
+        path.write_text(json.dumps({
+            "states": 1, "initial": 0, "input": ["a"], "output": ["x", "y"],
+            "delta": [[0, "a", 0, "x"]],
+            "acceptance": {"kind": "muller", "alphabet": names, "accepting": [["x"]]}}))
+        return str(path)
+
+    reordered, ordered, other = write(["y", "x"]), write(["x", "y"]), write(["x", "z"])
+    code, out, _ = run(capsys, "equiv", reordered, ordered)
+    assert (code, json.loads(out)["equivalent"]) == (0, True)
+    code, out, _ = run(capsys, "rabincheck", reordered)
+    assert (code, json.loads(out)["acceptance"]["pairs"]) == (0, [[["0:a"], []]])
+    code, _, err = run(capsys, "rabincheck", other)
+    assert code == 2
+    assert err.strip() == "error: Muller acceptance alphabet must name the output symbols"
+
+
 def test_chromatic_and_reduce_demo(capsys, tmp_path):
     graph_path = tmp_path / "k3.col"
     graph_path.write_text(graph_to_dimacs(K3))

@@ -5,25 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mullertools.core import (Alphabet, GenBuchiAcceptance, MalformedInput,
-                              MullerAcceptance, MullerCondition,
+from mullertools.core import (Alphabet, Automaton, GenBuchiAcceptance,
+                              MalformedInput, MullerAcceptance, MullerCondition,
                               ParityAcceptance, PeriodicWord,
                               PreconditionViolation, RabinAcceptance,
-                              ScaleGuard, StreettAcceptance, _cycle_covers,
-                              accepting_colour_set, accepts_up_word,
-                              automaton_from_json, automaton_to_json,
-                              bit_indices, build_automaton,
+                              StreettAcceptance, accepting_colour_set,
+                              accepts_up_word, automaton_from_json,
+                              automaton_to_json, bit_indices, build_automaton,
                               complement_condition, condition_from_json,
                               condition_to_json, dualise, edge_component,
                               max_inclusion, quotient,
-                              realizable_cycle_sets,
                               strongly_connected_components, submasks,
                               zielonka_children)
+from mullertools.rabin import _cycle_covers
 
 from generators import (inflate, random_condition, random_muller_automaton,
                         random_parity_automaton)
-from oracles import (automaton_cycle_sets, closed_walk_sets, edge_walks,
-                     product_agrees, quad_max_inclusion, scc_by_reachability)
+from oracles import (closed_walk_sets, edge_walks, product_agrees,
+                     quad_max_inclusion, scc_by_reachability)
 
 
 def test_alphabet_basics():
@@ -207,24 +206,6 @@ def test_scc_decomposition_matches_reachability_oracle():
                 == scc_by_reachability(vertices, edges))
 
 
-def test_realizable_cycle_sets_match_walk_oracle():
-    rng = random.Random(11)
-    for _ in range(40):
-        aut = random_muller_automaton(rng, rng.randrange(1, 5), 2, 3)
-        for q in range(aut.n_states):
-            got = set(realizable_cycle_sets(aut, q))
-            want = automaton_cycle_sets(aut, q)
-            assert got == want
-
-
-def test_realizable_cycle_sets_over_input():
-    rng = random.Random(13)
-    aut = random_muller_automaton(rng, 3, 2, 2)
-    got = set(realizable_cycle_sets(aut, 0, over="input"))
-    want = automaton_cycle_sets(aut, 0, over="input")
-    assert got == want
-
-
 def test_cycle_covers_match_walk_oracle():
     rng = random.Random(163)
     labels = (0, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110)  # silent, one and two bits
@@ -258,15 +239,6 @@ def test_edge_component_matches_walk_oracle():
                 assert edge_component(out, src, dst, ~(7 & ~forbidden)) == (comp, cover)
                 assert (edge_component(out, src, dst, forbidden, within)
                         == edge_walks(edges, src, dst, label, forbidden, within))
-
-
-def test_realizable_sets_scale_guard():
-    syms = tuple(f"c{i}" for i in range(21))
-    aut = build_automaton(initial=0, transitions={(0, s): (0, s) for s in syms},
-                          input_symbols=syms, output_symbols=syms,
-                          acceptance=GenBuchiAcceptance((1,)))
-    with pytest.raises(ScaleGuard, match="21 distinct colours, limit 20"):
-        realizable_cycle_sets(aut, 0)
 
 
 def test_accepts_up_word_on_two_state_switch():
@@ -319,6 +291,41 @@ def test_automaton_json_roundtrip_all_kinds():
             acceptance=acc)
         back = automaton_from_json(automaton_to_json(aut))
         assert back == aut
+
+
+def one_state_muller(names, accepting):
+    """One state reading a and emitting x, outputs x and y, with a Muller
+    acceptance over names, as JSON."""
+    return {"states": 1, "initial": 0, "input": ["a"], "output": ["x", "y"],
+            "delta": [[0, "a", 0, "x"]],
+            "acceptance": {"kind": "muller", "alphabet": names, "accepting": accepting}}
+
+
+def test_muller_acceptance_json_is_read_by_symbol_name():
+    # the acceptance lists y before x, the automaton numbers x as colour 0:
+    # {x} is read by name, so a^ω is accepted under either order
+    for names in (["y", "x"], ["x", "y"]):
+        aut = automaton_from_json(one_state_muller(names, [["x"]]))
+        assert aut.acceptance.condition.alphabet == aut.output_alphabet
+        assert aut.acceptance.condition.accepting == frozenset({0b01})
+        assert accepts_up_word(aut, PeriodicWord((), ("a",)))
+
+
+def test_muller_acceptance_json_refuses_other_symbols():
+    for names in (["x"], ["x", "z"], ["x", "y", "z"]):
+        with pytest.raises(MalformedInput, match="must name the output symbols"):
+            automaton_from_json(one_state_muller(names, [["x"]]))
+
+
+def test_automaton_refuses_muller_condition_off_its_output_alphabet():
+    out = Alphabet(("x", "y"))
+    row = ((0, 0),)
+    for names in (("y", "x"), ("x",)):
+        cond = MullerAcceptance(MullerCondition.make(names, [("x",)]))
+        with pytest.raises(MalformedInput, match="over the output alphabet"):
+            Automaton(1, 0, Alphabet(("a",)), out, (row,), cond)
+    Automaton(1, 0, Alphabet(("a",)), out, (row,),
+              MullerAcceptance(MullerCondition.make(out, [("x",)])))
 
 
 def test_automaton_json_rejects_garbage():

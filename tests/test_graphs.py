@@ -9,11 +9,11 @@ from mullertools.core import (MalformedInput, PeriodicWord, PropertyViolation,
 from mullertools.graphs import (SimpleGraph, chromatic_number,
                                 colouring_from_json, colouring_to_json,
                                 colouring_to_rabin, edge_alternation_automaton,
-                                graph_condition_tree, graph_edge_condition,
+                                graph_edge_condition,
                                 graph_to_dimacs, parse_dimacs,
                                 rabin_to_colouring)
 from mullertools.rabin import check_rabin_typeable
-from mullertools.zielonka import trees_isomorphic, zielonka_tree
+from mullertools.zielonka import zielonka_tree
 
 from oracles import alternation_accepted, brute_chromatic
 
@@ -99,10 +99,20 @@ def test_chromatic_number_witness_is_pinned(n, edges, expected):
 
 
 def test_graph_condition_tree_matches_general_builder():
+    # under a rejecting root, one accepting child per edge, labelled by its
+    # endpoints, each with its two endpoints as rejecting leaves; K2's root
+    # is its one edge, and it accepts
+    def shape(node):
+        return node.label, node.accepting, [shape(child) for child in node.children]
+
     for graph in (P3, K3, C4, SimpleGraph(3, ()), SimpleGraph(2, ((1, 2),))):
-        shortcut = graph_condition_tree(graph)
-        general = zielonka_tree(graph_edge_condition(graph))
-        assert trees_isomorphic(shortcut, general)
+        cond = graph_edge_condition(graph)
+        bit = cond.alphabet.bit
+        edges = sorted((bit(str(u)) | bit(str(v)), True,
+                        [(bit(str(u)), False, []), (bit(str(v)), False, [])])
+                       for u, v in graph.normalised_edges())
+        want = edges[0] if graph.n_vertices == 2 else (cond.alphabet.full_mask, False, edges)
+        assert shape(zielonka_tree(cond)) == want
 
 
 def test_edge_alternation_automaton_unit():

@@ -7,17 +7,16 @@ import pytest
 
 from mullertools.core import (Alphabet, Automaton, GenBuchiAcceptance,
                               MullerCondition, ParityAcceptance, PeriodicWord,
-                              PreconditionViolation, ScaleGuard,
-                              UnsupportedOperation, accepts_up_word,
-                              build_automaton)
+                              PreconditionViolation, UnsupportedOperation,
+                              accepts_up_word, build_automaton)
 from mullertools.reduction import (minimize_genbuchi, minimize_parity,
                                    zielonka_tree_from_parity)
 from mullertools.zielonka import (parity_automaton, trees_isomorphic,
                                   zielonka_tree)
 
-from generators import (a_then_b, inflate, random_condition,
+from generators import (a_then_b, inflate, random_condition, random_genbuchi_automaton,
                         random_parity_automaton, random_recognizable_genbuchi)
-from oracles import closed_part_tree
+from oracles import closed_part_tree, one_state_genbuchi_exists, product_agrees
 
 
 def at_least_two_of_three():
@@ -139,18 +138,40 @@ def test_minimize_genbuchi_refuses_order_dependent_language():
 
 
 def test_minimize_genbuchi_guards_its_cycle_walk():
-    # one state with a self-loop per letter, letter i emitting colour i: the
-    # self-check walks a cover for every non-empty set of letters
+    # one state with a self-loop per letter, letter i emitting colour i: a
+    # walk over every cycle meets a cover for every non-empty set of letters,
+    # while the self-check takes one strongly connected part per maximal
+    # rejecting letter set
     def loops(n):
         names = Alphabet(tuple(f"l{i}" for i in range(n)))
         return Automaton(1, 0, names, names, (tuple((0, i) for i in range(n)),),
                          GenBuchiAcceptance((0b01, 0b10)))
 
-    start = time.perf_counter()
-    with pytest.raises(ScaleGuard, match="input side uses 16 letters, limit 14"):
-        minimize_genbuchi(loops(16))
-    assert time.perf_counter() - start < 0.5
-    assert minimize_genbuchi(loops(14)).acceptance.sets == (0b01, 0b10)
+    for n in (16, 64):
+        start = time.perf_counter()
+        assert minimize_genbuchi(loops(n)).acceptance.sets == (0b01, 0b10)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_minimize_genbuchi_matches_closed_walk_oracle():
+    # it refuses exactly the languages that no one-state generalised Buchi
+    # automaton has, and every answer has the input's language
+    rng = random.Random(5)
+    refused = 0
+    for draw in range(3000):
+        if draw % 2:
+            aut = random_genbuchi_automaton(rng, rng.randint(1, 3), rng.choice((2, 3)),
+                                            rng.choice((2, 3)), rng.randint(1, 3))
+        else:
+            aut = random_recognizable_genbuchi(rng, rng.randint(1, 4), rng.choice((2, 3)),
+                                               rng.randint(1, 3))
+        if one_state_genbuchi_exists(aut):
+            assert product_agrees(aut, minimize_genbuchi(aut))
+        else:
+            refused += 1
+            with pytest.raises(PreconditionViolation, match="not a conjunction"):
+                minimize_genbuchi(aut)
+    assert 0 < refused < 1500
 
 
 def test_minimize_parity_refuses_order_dependent_language():
