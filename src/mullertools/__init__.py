@@ -28,10 +28,8 @@ from .rabin import (NotRabinTypeable, RabinTypenessReport, chromatic_memory,
                     rabin_equivalent, synthesize_rabin_pairs)
 from .reduction import minimize_genbuchi, minimize_parity, zielonka_tree_from_parity
 from .zielonka import (MemoryRequirements, ZielonkaTree, ascii_tree,
-                       general_memory, is_genbuchi_recognizable,
-                       is_half_positional, memory_requirements,
-                       parity_automaton, parity_automaton_from_tree,
-                       tree_from_json, tree_to_json, trees_isomorphic,
-                       zielonka_tree)
+                       general_memory, memory_requirements, parity_automaton,
+                       parity_automaton_from_tree, tree_from_json,
+                       tree_to_json, trees_isomorphic, zielonka_tree)
 
 __version__ = "0.1.0"

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .core import (MalformedInput, MullerToolsError, PreconditionViolation,
@@ -32,23 +33,22 @@ EXIT_SCALE = 3
 EXIT_INTERNAL = 4  # a defect in mullertools, not in the input
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"cannot decode {path}: {exc}") from None
+
+
 def _read_json(path: str) -> object:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise MalformedInput(f"cannot read {path}: {exc.strerror}") from None
-    try:
-        return json.loads(text)
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from None
-
-
-def _read_graph(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise MalformedInput(f"cannot read {path}: {exc.strerror}") from None
-    return parse_dimacs(text)
+    except RecursionError:
+        raise MalformedInput(f"{path} nests its JSON too deeply") from None
 
 
 def _emit(args, artifact: object, pretty: str) -> None:
@@ -76,14 +76,7 @@ def _cmd_zielonka(args) -> int:
 
 def _cmd_mem(args) -> int:
     cond = condition_from_json(_read_json(args.condition))
-    req = memory_requirements(cond)
-    artifact = {
-        "general_memory": req.general_memory,
-        "half_positional": req.half_positional,
-        "genbuchi_recognizable": req.genbuchi_recognizable,
-        "priorities_used": req.priorities_used,
-        "top_priority_even": req.top_priority_even,
-    }
+    artifact = asdict(memory_requirements(cond))
     pretty = "\n".join(f"{key}: {value}" for key, value in artifact.items())
     _emit(args, artifact, pretty)
     return EXIT_OK
@@ -113,16 +106,9 @@ def _cmd_zt2parity(args) -> int:
     return EXIT_OK
 
 
-def _cmd_minparity(args) -> int:
+def _cmd_minimise(args) -> int:
     aut = automaton_from_json(_read_json(args.automaton))
-    small = minimize_parity(aut)
-    _emit(args, automaton_to_json(small), _summarise_automaton(small))
-    return EXIT_OK
-
-
-def _cmd_minbuchi(args) -> int:
-    aut = automaton_from_json(_read_json(args.automaton))
-    small = minimize_genbuchi(aut)
+    small = (minimize_parity if args.command == "minparity" else minimize_genbuchi)(aut)
     _emit(args, automaton_to_json(small), _summarise_automaton(small))
     return EXIT_OK
 
@@ -153,7 +139,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_chromatic(args) -> int:
-    graph = _read_graph(args.graph)
+    graph = parse_dimacs(_read_text(args.graph))
     number, assignment = chromatic_number(graph)
     artifact = {"chromatic_number": number}
     artifact.update(colouring_to_json(assignment))
@@ -162,14 +148,14 @@ def _cmd_chromatic(args) -> int:
 
 
 def _cmd_graph2rabin(args) -> int:
-    graph = _read_graph(args.graph)
+    graph = parse_dimacs(_read_text(args.graph))
     aut = edge_alternation_automaton(graph)
     _emit(args, automaton_to_json(aut), _summarise_automaton(aut))
     return EXIT_OK
 
 
 def _cmd_colour2rabin(args) -> int:
-    graph = _read_graph(args.graph)
+    graph = parse_dimacs(_read_text(args.graph))
     colouring = colouring_from_json(_read_json(args.colouring), graph)
     aut = colouring_to_rabin(graph, colouring)
     _emit(args, automaton_to_json(aut), _summarise_automaton(aut))
@@ -178,7 +164,7 @@ def _cmd_colour2rabin(args) -> int:
 
 def _cmd_rabin2colouring(args) -> int:
     aut = automaton_from_json(_read_json(args.automaton))
-    graph = _read_graph(args.graph)
+    graph = parse_dimacs(_read_text(args.graph))
     colouring = rabin_to_colouring(aut, graph)
     classes = len(set(colouring.values()))
     _emit(args, colouring_to_json(colouring), f"{classes} colour class(es)")
@@ -248,7 +234,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_reduce_demo(args) -> int:
-    graph = _read_graph(args.graph)
+    graph = parse_dimacs(_read_text(args.graph))
     number, assignment = chromatic_number(graph)
     aut = colouring_to_rabin(graph, assignment)
     recovered = rabin_to_colouring(aut, graph)
@@ -303,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("condition", "condition JSON file"))
     add("zt2parity", _cmd_zt2parity, "parity automaton of a condition",
         ("condition", "condition JSON file"))
-    add("minparity", _cmd_minparity, "minimise a parity automaton",
+    add("minparity", _cmd_minimise, "minimise a parity automaton",
         ("automaton", "automaton JSON file"))
-    add("minbuchi", _cmd_minbuchi,
+    add("minbuchi", _cmd_minimise,
         "minimise an automaton with a generalised Buchi acceptance",
         ("automaton", "automaton JSON file"))
     add("rabincheck", _cmd_rabincheck,

@@ -246,41 +246,28 @@ def rabin_to_colouring(aut: Automaton, graph: SimpleGraph) -> dict[int, int]:
 
     For each vertex letter, repeating that letter forever drives the
     automaton into the cycles of a functional graph; the smallest state on
-    those cycles names the vertex's colour class.  If two adjacent vertices
-    land in the same class the automaton cannot recognise the language, which
-    is reported as a violation.
+    those cycles names the vertex's colour class.  After as many steps as
+    there are states, the states reached from all starts are exactly the
+    cycle states.  If two adjacent vertices land in the same class the
+    automaton cannot recognise the language, which is reported as a
+    violation.
     """
     if set(aut.input_alphabet.symbols) != set(vertex_alphabet(graph).symbols):
         raise MalformedInput("automaton input alphabet does not match the graph")
     chosen: dict[int, int] = {}
     for v in range(1, graph.n_vertices + 1):
         a = aut.input_alphabet.position(str(v))
-        on_cycle = set()
-        for start in range(aut.n_states):
-            # iterate n steps to land on the letter's cycles, then mark one
-            state = start
-            for _ in range(aut.n_states):
-                state = aut.delta[state][a][0]
-            entry = state
-            while True:
-                on_cycle.add(state)
-                state = aut.delta[state][a][0]
-                if state == entry:
-                    break
-        chosen[v] = min(on_cycle)
+        states = range(aut.n_states)
+        for _ in range(aut.n_states):
+            states = [aut.delta[state][a][0] for state in states]
+        chosen[v] = min(states)
     for u, v in graph.edges:
         if chosen[u] == chosen[v]:
             raise PropertyViolation(
                 "automaton does not recognise the edge-alternation language"
                 f" of this graph: vertices {u} and {v} share a class")
-    palette: dict[int, int] = {}
-    colouring: dict[int, int] = {}
-    for v in range(1, graph.n_vertices + 1):
-        rep = chosen[v]
-        if rep not in palette:
-            palette[rep] = len(palette) + 1
-        colouring[v] = palette[rep]
-    return colouring
+    palette: dict[int, int] = {}  # class representative -> colour, by first vertex
+    return {v: palette.setdefault(rep, len(palette) + 1) for v, rep in chosen.items()}
 
 
 def colouring_to_json(colouring: dict[int, int]) -> dict:

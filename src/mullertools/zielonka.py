@@ -2,13 +2,13 @@
 numbers they induce, and the parity automaton built over their leaves."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
                    ParityAcceptance, ScaleGuard, bit_indices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZielonkaTree:
     """Tree of alternating colour subsets.
 
@@ -16,24 +16,54 @@ class ZielonkaTree:
     inclusion-maximal non-empty strict subsets of its label on the opposite
     side of the accepting family.  Children are ordered by ascending label
     bitset, which makes the shape canonical.  A node may be shared by many
-    parents, so its leaf count and height are kept when it is built.
+    parents, so the numbers of the subtree below it are kept when it is
+    built: its leaf count, its height, its general memory and whether an
+    accepting node in it branches.  General memory counts one at a leaf, the
+    sum over the children at an accepting node and their maximum at a
+    rejecting one: the memory states that the accepting player needs, and
+    that suffice (Dziembowski, Jurdziński and Walukiewicz 1997).
     """
 
     alphabet: Alphabet
     label: int
     accepting: bool
     children: tuple["ZielonkaTree", ...]
+    _leaves: int = field(init=False, repr=False, compare=False)
+    _height: int = field(init=False, repr=False, compare=False)
+    _memory: int = field(init=False, repr=False, compare=False)
+    _branches: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_leaves", sum(c.leaf_count() for c in self.children) or 1)
-        object.__setattr__(self, "_height", 1 + max((c.height() for c in self.children), default=0))
+        leaves = height = memory = 0
+        accepting = self.accepting
+        branches = accepting and len(self.children) > 1
+        for child in self.children:  # one pass with no call per child
+            leaves += child._leaves
+            if child._height > height:
+                height = child._height
+            if accepting:
+                memory += child._memory
+            elif child._memory > memory:
+                memory = child._memory
+            branches = branches or child._branches
+        put = object.__setattr__
+        put(self, "_leaves", leaves or 1)
+        put(self, "_height", 1 + height)
+        put(self, "_memory", memory or 1)
+        put(self, "_branches", branches)
 
     def height(self) -> int:
         """Number of nodes on a longest root-to-leaf path."""
-        return self._height  # type: ignore[attr-defined]
+        return self._height
 
     def leaf_count(self) -> int:
-        return self._leaves  # type: ignore[attr-defined]
+        return self._leaves
+
+    def general_memory(self) -> int:
+        return self._memory
+
+    def branches(self) -> bool:
+        return self._branches
 
     def label_names(self) -> tuple[str, ...]:
         return self.alphabet.names(self.label)
@@ -68,27 +98,7 @@ def zielonka_tree(cond: MullerCondition) -> ZielonkaTree:
 
 
 def general_memory(cond: MullerCondition) -> int:
-    return memory_requirements(cond).general_memory
-
-
-def is_half_positional(cond: MullerCondition) -> bool:
-    """True when one memory state suffices, i.e. no accepting node branches."""
-    return memory_requirements(cond).half_positional
-
-
-def is_genbuchi_recognizable(cond: MullerCondition) -> bool:
-    """True when the condition is a finite conjunction of met colour sets.
-
-    Holds exactly when the tree has height at most two and, if the height is
-    two, the root is accepting.
-    """
-    return memory_requirements(cond).genbuchi_recognizable
-
-
-def priorities_used(cond: MullerCondition) -> tuple[int, bool]:
-    """(number of distinct priorities, whether the top priority is even)."""
-    req = memory_requirements(cond)
-    return req.priorities_used, req.top_priority_even
+    return zielonka_tree(cond).general_memory()
 
 
 @dataclass(frozen=True)
@@ -101,35 +111,19 @@ class MemoryRequirements:
 
 
 def memory_requirements(cond: MullerCondition) -> MemoryRequirements:
-    """Numbers read off the condition's tree, without building it.
-
-    A node is accepting exactly when its label is, and its children depend
-    only on its label, so each distinct label is worked out once, though it
-    recurs under many parents.  General memory counts one at a leaf, the sum
-    over the children at an accepting node and their maximum at a rejecting
-    one.  The tree's height is the number of priorities.
-    """
-    check_tree_alphabet(cond)
-    memo: dict[int, tuple[int, int, bool]] = {}  # label: memory, height, no branching
-
-    def numbers(label: int) -> tuple[int, int, bool]:
-        if label not in memo:
-            accepting = label in cond.accepting
-            below = [numbers(sub) for sub in cond.children(label)]
-            memo[label] = (1, 1, True) if not below else (
-                (sum if accepting else max)(memory for memory, _, _ in below),
-                1 + max(height for _, height, _ in below),
-                (not accepting or len(below) == 1) and all(flat for _, _, flat in below))
-        return memo[label]
-
-    memory, height, flat = numbers(cond.alphabet.full_mask)
-    accepting = cond.alphabet.full_mask in cond.accepting
+    """Numbers read off the condition's tree.  The accepting player needs one
+    memory state exactly when no accepting node branches.  The height is the
+    number of priorities, the top one even when the root accepts.  The
+    condition is a finite conjunction of met colour sets exactly when the
+    height is one, or two under an accepting root."""
+    tree = zielonka_tree(cond)
+    height = tree.height()
     return MemoryRequirements(
-        general_memory=memory,
-        half_positional=flat,
-        genbuchi_recognizable=height == 1 or (height == 2 and accepting),
+        general_memory=tree.general_memory(),
+        half_positional=not tree.branches(),
+        genbuchi_recognizable=height == 1 or (height == 2 and tree.accepting),
         priorities_used=height,
-        top_priority_even=accepting,
+        top_priority_even=tree.accepting,
     )
 
 
@@ -191,20 +185,15 @@ def ascii_tree(tree: ZielonkaTree) -> str:
     """Plain ASCII rendering of the tree, one node per line."""
     lines: list[str] = []
 
-    def render(node: ZielonkaTree, prefix: str, is_root: bool, is_last: bool) -> None:
+    def render(node: ZielonkaTree, head: str, prefix: str) -> None:
         mark = "[+]" if node.accepting else "[-]"
-        label = "{" + ",".join(node.label_names()) + "}"
-        if is_root:
-            lines.append(label + " " + mark)
-            child_prefix = ""
-        else:
-            connector = "`-- " if is_last else "+-- "
-            lines.append(prefix + connector + label + " " + mark)
-            child_prefix = prefix + ("    " if is_last else "|   ")
+        lines.append(head + "{" + ",".join(node.label_names()) + "} " + mark)
         for i, child in enumerate(node.children):
-            render(child, child_prefix, False, i == len(node.children) - 1)
+            last = i == len(node.children) - 1
+            render(child, prefix + ("`-- " if last else "+-- "),
+                   prefix + ("    " if last else "|   "))
 
-    render(tree, "", True, True)
+    render(tree, "", "")
     return "\n".join(lines)
 
 

@@ -556,6 +556,23 @@ def test_invalid_json_is_exit_two(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("command", ["zielonka", "chromatic"])
+def test_undecodable_file_is_exit_two(capsys, tmp_path, command):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_json_is_exit_two(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "zielonka", str(deep))
+    assert code == 2 and out == ""
+    assert err == f"error: {deep} nests its JSON too deeply\n"
+
+
 def test_scale_guard_is_exit_three(capsys, tmp_path):
     cond = MullerCondition.make(tuple(f"s{i}" for i in range(17)),
                                 [tuple(f"s{i}" for i in range(17))])

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from mullertools.core import (MalformedInput, PeriodicWord, PropertyViolation,
+from mullertools.core import (Alphabet, Automaton, MalformedInput,
+                              ParityAcceptance, PeriodicWord, PropertyViolation,
                               accepts_up_word)
 from mullertools.graphs import (SimpleGraph, chromatic_number,
                                 colouring_from_json, colouring_to_json,
@@ -170,6 +171,15 @@ def test_rabin_to_colouring_on_vertex_tracker():
     # the one-state-per-vertex automaton yields the discrete colouring
     back = rabin_to_colouring(edge_alternation_automaton(K3), K3)
     assert sorted(back.values()) == [1, 2, 3]
+
+
+def test_rabin_to_colouring_reads_the_cycles_behind_a_tail():
+    # letter 1 runs 0 -> 1 -> 2 -> 2: state 1 is on its path but not on its
+    # cycle, so vertices 1 and 3 (both ending in state 2) share a class
+    rows = (((1, 0), (0, 0), (2, 0)), ((2, 0), (0, 0), (2, 0)), ((2, 0), (0, 0), (2, 0)))
+    aut = Automaton(3, 0, Alphabet(("1", "2", "3")), Alphabet(("x",)), rows,
+                    ParityAcceptance((0,)))
+    assert rabin_to_colouring(aut, P3) == {1: 1, 2: 2, 3: 1}
 
 
 def test_rabin_to_colouring_rejects_wrong_language():

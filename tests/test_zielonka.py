@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from mullertools.core import (Alphabet, MalformedInput, MullerCondition,
                               PeriodicWord, ScaleGuard, accepts_up_word)
-from mullertools.zielonka import (ZielonkaTree, ascii_tree, general_memory,
-                                  is_genbuchi_recognizable, is_half_positional,
-                                  memory_requirements, parity_automaton,
-                                  parity_automaton_from_tree, priorities_used,
-                                  tree_from_json, tree_to_json,
-                                  trees_isomorphic, zielonka_tree)
+from mullertools.reduction import zielonka_tree_from_parity
+from mullertools.zielonka import (MemoryRequirements, ZielonkaTree, ascii_tree,
+                                  general_memory, memory_requirements,
+                                  parity_automaton, parity_automaton_from_tree,
+                                  tree_from_json, tree_to_json, trees_isomorphic,
+                                  zielonka_tree)
 
 from generators import random_condition
 
@@ -46,7 +46,8 @@ def test_tree_empty_family_is_single_leaf():
     assert not tree.accepting
     assert tree.height() == 1
     assert tree.leaf_count() == 1
-    assert priorities_used(cond) == (1, False)
+    req = memory_requirements(cond)
+    assert (req.priorities_used, req.top_priority_even) == (1, False)
 
 
 def test_tree_exactly_two_of_three():
@@ -77,22 +78,28 @@ def test_general_memory_values():
 
 
 def test_half_positional_iff_no_accepting_branching():
-    # single chain: accepting root with one child
-    assert is_half_positional(MullerCondition.make(("a", "b"), [("a", "b"), ("a",)])) in (True, False)
+    def half_positional(cond):
+        return memory_requirements(cond).half_positional
+
+    # single chain: the accepting root {a, b} has the one child {b}
+    assert half_positional(MullerCondition.make(("a", "b"), [("a", "b"), ("a",)]))
     # at-least-two branches at the accepting root for n >= 2
-    assert not is_half_positional(at_least_two(("a", "b", "c")))
+    assert not half_positional(at_least_two(("a", "b", "c")))
     # Buchi-like condition: sets containing a distinguished letter
     buchi = MullerCondition.make(("a", "b"),
                                  [("a",), ("a", "b")])
-    assert is_half_positional(buchi)
+    assert half_positional(buchi)
 
 
 def test_genbuchi_recognizable_flags():
-    assert is_genbuchi_recognizable(at_least_two(("a", "b", "c")))
-    assert not is_genbuchi_recognizable(exactly_two())
+    def recognizable(cond):
+        return memory_requirements(cond).genbuchi_recognizable
+
+    assert recognizable(at_least_two(("a", "b", "c")))
+    assert not recognizable(exactly_two())
     # height 1 trees are trivially recognizable (whole family or nothing)
-    assert is_genbuchi_recognizable(MullerCondition.make(("a",), [("a",)]))
-    assert is_genbuchi_recognizable(MullerCondition.make(("a",), []))
+    assert recognizable(MullerCondition.make(("a",), [("a",)]))
+    assert recognizable(MullerCondition.make(("a",), []))
 
 
 def test_memory_requirements_shape():
@@ -105,28 +112,66 @@ def test_memory_requirements_shape():
 
 
 def test_memory_numbers_match_the_built_tree():
-    def memory(node):
-        if not node.children:
-            return 1
-        parts = [memory(child) for child in node.children]
-        return sum(parts) if node.accepting else max(parts)
-
-    def flat(node):
-        return ((not node.accepting or len(node.children) <= 1)
-                and all(flat(child) for child in node.children))
+    def numbers(node):
+        # general memory, height, whether an accepting node branches; checked
+        # against what every node stores
+        below = [numbers(child) for child in node.children] or [(0, 0, False)]
+        memory = (sum if node.accepting else max)(m for m, _, _ in below) or 1
+        height = 1 + max(h for _, h, _ in below)
+        branches = node.accepting and len(node.children) > 1 or any(b for _, _, b in below)
+        assert (node.general_memory(), node.height(), node.branches()) == (memory, height, branches)
+        return memory, height, branches
 
     rng = random.Random(41)
     for _ in range(240):
         cond = random_condition(rng, rng.randint(1, 7))
-        tree = zielonka_tree(cond)
-        height = tree.height()
         req = memory_requirements(cond)
-        assert req.general_memory == general_memory(cond) == memory(tree)
-        assert req.half_positional == is_half_positional(cond) == flat(tree)
-        assert (req.priorities_used, req.top_priority_even) == priorities_used(cond)
-        assert (height, tree.accepting) == priorities_used(cond)
-        assert req.genbuchi_recognizable == is_genbuchi_recognizable(cond)
+        tree = zielonka_tree(cond)
+        want = (req.general_memory, req.priorities_used, not req.half_positional)
+        # the tree of the condition, one recovered from its parity automaton,
+        # and one read back from JSON with a node per occurrence
+        for built in (tree, zielonka_tree_from_parity(parity_automaton(cond)),
+                      tree_from_json(tree_to_json(tree))):
+            assert numbers(built) == want
+            assert built.accepting == req.top_priority_even
+        assert general_memory(cond) == req.general_memory
+        height = tree.height()
         assert req.genbuchi_recognizable == (height == 1 or height == 2 and tree.accepting)
+
+
+def label_walk_requirements(cond):
+    """Reference numbers with no tree built: a memo of (general memory,
+    height, no accepting node branches) per label."""
+    memo = {}
+
+    def numbers(label):
+        if label not in memo:
+            accepting = label in cond.accepting
+            below = [numbers(sub) for sub in cond.children(label)]
+            memo[label] = (1, 1, True) if not below else (
+                (sum if accepting else max)(memory for memory, _, _ in below),
+                1 + max(height for _, height, _ in below),
+                (not accepting or len(below) == 1) and all(flat for _, _, flat in below))
+        return memo[label]
+
+    memory, height, flat = numbers(cond.alphabet.full_mask)
+    accepting = cond.alphabet.full_mask in cond.accepting
+    return MemoryRequirements(memory, flat, height == 1 or (height == 2 and accepting),
+                              height, accepting)
+
+
+def test_memory_requirements_match_the_label_walk():
+    for n in range(1, 5):  # every family over 1-4 letters
+        alpha = Alphabet(tuple("abcd"[:n]))
+        sets = range(1, alpha.full_mask + 1)
+        for members in range(2 ** len(sets)):
+            cond = MullerCondition(alpha, frozenset(
+                bits for bits in sets if members >> (bits - 1) & 1))
+            assert memory_requirements(cond) == label_walk_requirements(cond)
+    rng = random.Random(22)
+    for _ in range(500):
+        cond = random_condition(rng, rng.randint(5, 9))
+        assert memory_requirements(cond) == label_walk_requirements(cond)
 
 
 def test_parity_automaton_single_pair():
