@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import repeat
 from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -83,6 +84,7 @@ class Alphabet:
                 raise MalformedInput(f"duplicate symbol {sym!r}")
             index[sym] = i
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_bit", {sym: 1 << i for sym, i in index.items()})
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -107,11 +109,11 @@ class Alphabet:
         return 1 << self.position(symbol)
 
     def bits(self, symbols: Iterable[str]) -> int:
-        index = self._index  # type: ignore[attr-defined]
+        bit = self._bit  # type: ignore[attr-defined]
         out = 0
         for sym in symbols:
             try:
-                out |= 1 << index[sym]
+                out |= bit[sym]
             except (KeyError, TypeError):
                 raise MalformedInput(f"unknown symbol {sym!r}") from None
         return out
@@ -139,21 +141,26 @@ class MullerCondition:
     accepting: frozenset[int]
 
     def __post_init__(self) -> None:
-        full = self.alphabet.full_mask
-        for bits in self.accepting:
-            if bits == 0:
-                raise MalformedInput("accepting family must not contain the empty set")
-            if bits & ~full:
-                raise MalformedInput("accepting set uses symbols outside the alphabet")
+        if 0 in self.accepting:
+            raise MalformedInput("accepting family must not contain the empty set")
+        if self.accepting and (min(self.accepting) < 0
+                               or max(self.accepting) > self.alphabet.full_mask):
+            raise MalformedInput("accepting set uses symbols outside the alphabet")
         object.__setattr__(self, "_children", {})
 
     @classmethod
     def make(cls, symbols: Iterable[str],
              accepting_sets: Iterable[Iterable[str]]) -> "MullerCondition":
         alphabet = symbols if isinstance(symbols, Alphabet) else Alphabet(tuple(symbols))
+        bit = alphabet._bit  # type: ignore[attr-defined]
         family = set()
         for group in accepting_sets:
-            bits = alphabet.bits(group)
+            bits = 0
+            for sym in group:
+                try:
+                    bits |= bit[sym]
+                except (KeyError, TypeError):  # TypeError: an unhashable JSON list
+                    raise MalformedInput(f"unknown symbol {sym!r}") from None
             if bits:  # the empty set can never be produced infinitely often
                 family.add(bits)
         return cls(alphabet, frozenset(family))
@@ -656,9 +663,9 @@ def condition_from_json(data: object) -> MullerCondition:
         raise MalformedInput("condition must be a JSON object")
     alphabet = data.get("alphabet")
     accepting = data.get("accepting")
-    if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
+    if not isinstance(alphabet, list) or not all(map(isinstance, alphabet, repeat(str))):
         raise MalformedInput("condition field 'alphabet' must be a list of strings")
-    if not isinstance(accepting, list) or not all(isinstance(g, list) for g in accepting):
+    if not isinstance(accepting, list) or not all(map(isinstance, accepting, repeat(list))):
         raise MalformedInput("condition field 'accepting' must be a list of lists")
     return MullerCondition.make(alphabet, accepting)
 

@@ -6,6 +6,8 @@ from dataclasses import replace
 from functools import cache, partial, reduce
 from operator import or_
 
+# _closed_part walks the transition rows itself; strongly_connected_components
+# stays importable here because perfbench/spans.py wraps it under this name
 from .core import (Alphabet, Automaton, GenBuchiAcceptance, PreconditionViolation,
                    UnsupportedOperation, accepting_colour_set, alternating_children,
                    bit_indices, max_inclusion, quotient, strongly_connected_components,
@@ -17,19 +19,75 @@ def _letters(edges) -> int:
     return reduce(or_, (1 << e[3] for e in edges), 0)
 
 
-def _closed_part(edges, letters: int) -> tuple[tuple, ...]:
-    """Edges of the closed strongly connected part with the smallest vertex
-    among the edges over the given letters.
+def _closed_part(delta, states, letters: int) -> tuple[tuple, ...]:
+    """Edges (q, target, colour bit, letter position) of the closed strongly
+    connected part with the least state, over the given letters, among the
+    states (ascending), which those letters never leave; by state, then
+    letter.  delta[q][a] is a (target, colour) pair.
 
-    edges are (src, dst, colour bit, letter position) tuples with one edge
-    per vertex and letter, so a part is closed when it holds every edge of
-    its vertices, and then it carries all the letters.
+    One iterative Tarjan walk (Tarjan 1972) rooted at the states in order.
+    A finished component is closed unless one of its states steps into a
+    component finished before it; that flag travels up the walk's tree
+    edges inside a component to its root.  Once the next root lies above
+    the least state of the best closed component, no later component holds
+    a smaller state, and the walk stops.
     """
-    sub = [e for e in edges if 1 << e[3] & letters]
-    for comp, inner in strongly_connected_components({v for e in sub for v in e[:2]}, sub):
-        if len(inner) == len(comp) * letters.bit_count():
-            return inner
-    raise PreconditionViolation("restriction has no closed strongly connected part")
+    positions = list(bit_indices(letters))
+    n = len(delta)  # the index given to a state once its component is finished
+    index, low = [-1] * n, [0] * n
+    leaks = bytearray(n)  # it, or a tree descendant in its component, steps out
+    stack: list[int] = []
+    best: list[int] = []
+    counter = 0
+    for root in states:
+        if index[root] >= 0:
+            continue
+        if best and root > best[0]:
+            break
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        row = delta[root]
+        work = [(root, iter([row[a][0] for a in positions]))]
+        while work:
+            v, targets = work[-1]
+            for w in targets:
+                i = index[w]
+                if i < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    row = delta[w]
+                    work.append((w, iter([row[a][0] for a in positions])))
+                    break
+                if i < low[v]:
+                    low[v] = i
+                elif i == n:
+                    leaks[v] = 1
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = n
+                        comp.append(w)
+                        if w == v:
+                            break
+                    if not leaks[v] and (not best or min(comp) < best[0]):
+                        best = sorted(comp)
+                if work:
+                    u = work[-1][0]
+                    if index[v] == n:
+                        leaks[u] = 1
+                    else:
+                        leaks[u] |= leaks[v]
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+    if not best:
+        raise PreconditionViolation("restriction has no closed strongly connected part")
+    return tuple([(q, target, 1 << colour, a)
+                  for q in best for a in positions for target, colour in [delta[q][a]]])
 
 
 def zielonka_tree_from_parity(aut: Automaton) -> ZielonkaTree:
@@ -71,16 +129,16 @@ def zielonka_tree_from_parity(aut: Automaton) -> ZielonkaTree:
                 raise PreconditionViolation(
                     "not a Muller condition over the input letters")
             if letter_bits not in nodes:
-                nodes[letter_bits] = build(_closed_part(edges, letter_bits))
+                states = sorted({e[0] for e in edges})
+                nodes[letter_bits] = build(_closed_part(delta, states, letter_bits))
             kids.append(nodes[letter_bits])
         return ZielonkaTree(alphabet, label, accepts(cover), tuple(kids))
 
-    def edges_of(aut: Automaton) -> list[tuple[int, int, int, int]]:
-        return [(q, target, 1 << colour, a) for q, a, target, colour in aut.edges()]
-
-    least = _closed_part(edges_of(aut), alphabet.full_mask)[0][0]
+    least = _closed_part(aut.delta, range(aut.n_states), alphabet.full_mask)[0][0]
     # the closed part is strongly connected: it is all that its least state reaches
-    return build(edges_of(quotient(replace(aut, initial=least), prio)))
+    delta = quotient(replace(aut, initial=least), prio).delta
+    return build([(q, target, 1 << colour, a) for q, row in enumerate(delta)
+                  for a, (target, colour) in enumerate(row)])
 
 
 def minimize_parity(aut: Automaton) -> Automaton:

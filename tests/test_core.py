@@ -337,6 +337,48 @@ def test_automaton_json_rejects_garbage():
         condition_from_json({"alphabet": ["a"], "accepting": [["b"]]})
 
 
+@pytest.mark.parametrize("family, message", [
+    (["ab"], "'accepting' must be a list of lists"),
+    ([["a"], 1], "'accepting' must be a list of lists"),
+    ([None], "'accepting' must be a list of lists"),
+    ("a", "'accepting' must be a list of lists"),
+    ([["a", "c"]], "unknown symbol 'c'"),
+    ([["a"], [1]], "unknown symbol 1"),
+    ([[["a"]]], r"unknown symbol \['a'\]"),
+    ([[{"a": 1}]], r"unknown symbol \{'a': 1\}"),
+], ids=["string-set", "number-set", "null-set", "string-family", "unknown",
+        "number-symbol", "list-symbol", "object-symbol"])
+def test_condition_reader_refuses_malformed_families(family, message):
+    with pytest.raises(MalformedInput, match=message):
+        condition_from_json({"alphabet": ["a", "b"], "accepting": family})
+
+
+def test_condition_reader_refuses_malformed_alphabets():
+    for alphabet in (["a", 1], "ab", None, ["a", ["b"]]):
+        with pytest.raises(MalformedInput, match="'alphabet' must be a list of strings"):
+            condition_from_json({"alphabet": alphabet, "accepting": []})
+    with pytest.raises(MalformedInput, match="duplicate symbol 'a'"):
+        condition_from_json({"alphabet": ["a", "a"], "accepting": []})
+
+
+def test_condition_constructor_refuses_empty_and_outside_sets():
+    ab = Alphabet(("a", "b"))
+    with pytest.raises(MalformedInput, match="must not contain the empty set"):
+        MullerCondition(ab, frozenset({1, 0}))
+    for bits in (4, 7, -1, 1 << 70):
+        with pytest.raises(MalformedInput, match="uses symbols outside the alphabet"):
+            MullerCondition(ab, frozenset({1, bits}))
+    assert MullerCondition(ab, frozenset({1, 2, 3})).accepting == {1, 2, 3}
+    assert MullerCondition(ab, frozenset()).accepting == frozenset()
+    # make drops an empty set: it is never produced infinitely often
+    assert condition_from_json({"alphabet": ["a", "b"], "accepting": [[], ["b", "b"]]}
+                               ).accepting == {2}
+    # make takes iterables of symbols; a number is none, and the symbol of
+    # an earlier set is not blamed for it
+    with pytest.raises(TypeError):
+        MullerCondition.make(ab, [["b"], 5])
+
+
 @given(st.integers(min_value=1, max_value=255))
 @settings(max_examples=60)
 def test_submasks_are_exactly_nonempty_subsets(mask):

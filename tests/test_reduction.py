@@ -8,8 +8,9 @@ import pytest
 from mullertools.core import (Alphabet, Automaton, GenBuchiAcceptance,
                               MullerCondition, ParityAcceptance, PeriodicWord,
                               PreconditionViolation, UnsupportedOperation,
-                              accepts_up_word, build_automaton)
-from mullertools.reduction import (minimize_genbuchi, minimize_parity,
+                              accepts_up_word, build_automaton,
+                              strongly_connected_components, submasks)
+from mullertools.reduction import (_closed_part, minimize_genbuchi, minimize_parity,
                                    zielonka_tree_from_parity)
 from mullertools.zielonka import (parity_automaton, trees_isomorphic,
                                   zielonka_tree)
@@ -72,6 +73,46 @@ def test_tree_recovery_on_inflated_automata_matches_closed_part_oracle():
             assert _nested(zielonka_tree_from_parity(big)) == want
             graded += 1
     assert graded >= 200
+
+
+def _closed_components(edges, letters):
+    # every strongly connected component of the edges over the letters that
+    # no such edge leaves, by least state: a full decomposition of the part
+    sub = [e for e in edges if 1 << e[3] & letters]
+    return [inner for comp, inner in
+            strongly_connected_components({v for e in sub for v in e[:2]}, sub)
+            if len(inner) == len(comp) * letters.bit_count()]
+
+
+def test_closed_part_matches_a_full_decomposition():
+    # the whole automaton, then a closed part over a random letter set inside
+    # the last one, three levels deep; edges are (q, target, colour bit, letter)
+    rng = random.Random(23)
+    transient = several = 0
+    for draw in range(600):
+        aut = random_parity_automaton(rng, rng.randint(1, 6), rng.choice((2, 3, 4)), 3)
+        if draw % 2:
+            aut = inflate(aut, rng, rng.choice((2, 3)))
+        delta, label = aut.delta, aut.input_alphabet.full_mask
+        part = [(q, t, 1 << c, a) for q, row in enumerate(delta) for a, (t, c) in enumerate(row)]
+        for _ in range(3):
+            letters = rng.choice(list(submasks(label)))
+            states = sorted({e[0] for e in part})
+            closed = _closed_components(part, letters)
+            assert _closed_part(delta, states, letters) == closed[0]
+            transient += closed[0][0][0] != states[0]
+            several += len(closed) > 1
+            part, label = closed[0], letters
+    assert transient >= 200 and several >= 100
+
+
+def test_closed_part_finds_a_smaller_part_behind_a_later_root():
+    # 0 is transient and leads to the closed part {3}; the closed part {1}
+    # is reached from no root before it, and 2 comes after it
+    delta = (((3, 0),), ((1, 0),), ((0, 0),), ((3, 0),))
+    edges = [(q, t, 1 << c, 0) for q, ((t, c),) in enumerate(delta)]
+    assert _closed_part(delta, range(4), 1) == ((1, 1, 1, 0),)
+    assert _closed_components(edges, 1) == [((1, 1, 1, 0),), ((3, 3, 1, 0),)]
 
 
 def _lasso_equal(a, b, max_period=4):
