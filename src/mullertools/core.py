@@ -152,15 +152,9 @@ class MullerCondition:
     def make(cls, symbols: Iterable[str],
              accepting_sets: Iterable[Iterable[str]]) -> "MullerCondition":
         alphabet = symbols if isinstance(symbols, Alphabet) else Alphabet(tuple(symbols))
-        bit = alphabet._bit  # type: ignore[attr-defined]
         family = set()
         for group in accepting_sets:
-            bits = 0
-            for sym in group:
-                try:
-                    bits |= bit[sym]
-                except (KeyError, TypeError):  # TypeError: an unhashable JSON list
-                    raise MalformedInput(f"unknown symbol {sym!r}") from None
+            bits = alphabet.bits(group)
             if bits:  # the empty set can never be produced infinitely often
                 family.add(bits)
         return cls(alphabet, frozenset(family))

@@ -532,10 +532,11 @@ def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
     structure of a minimal Rabin automaton for it is a chromatic memory with
     which the colour player wins every game over it that they win at all
     (Casares 2021; it rests on the positionality of Rabin games, Klarlund
-    1994).  The game is won here, so min_rabin_size is asked once, up to the
-    structure search's MAX_TABLE_CELLS, and at the size it finds no table is
-    drawn: that size is the answer.  Smaller sizes are still enumerated in
-    full, and so are the sizes past its reach.
+    1994).  The game is won here, so once min_rabin_size finds that
+    structure at the current size, the size is the answer and no table is
+    drawn for it.  Smaller sizes are still enumerated in full, and sizes
+    whose tables exceed the structure search's MAX_TABLE_CELLS are only
+    enumerated.
     """
     if max_size < 1:
         raise PreconditionViolation(f"state budget {max_size} is below 1")
@@ -550,9 +551,8 @@ def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
         colours for colours in range(1, 1 << g) if colours not in rejecting[0]))
     if arena.initial in muller_regions(arena, own)[1]:
         return None
-    rabin_size = min_rabin_size(own, min(max_size, MAX_TABLE_CELLS // g))[0]
     for size in range(1, max_size + 1):
-        if size == rabin_size:
+        if size * g <= MAX_TABLE_CELLS and min_rabin_size(own, size)[0] == size:
             return size
         for flat in canonical_structures(size, g):
             update = tuple(tuple(flat[m * g + c] for c in range(g))

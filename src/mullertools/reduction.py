@@ -120,7 +120,7 @@ def zielonka_tree_from_parity(aut: Automaton) -> ZielonkaTree:
 
     def build(edges) -> ZielonkaTree:
         cover, label = reduce(or_, (e[2] for e in edges)), _letters(edges)
-        kids = []
+        kids, states = [], sorted({e[0] for e in edges})
         for letter_bits in max_inclusion(
                 _letters(inner) for _, _, inner in
                 alternating_children(edges, cover, accepts, split)):
@@ -129,7 +129,6 @@ def zielonka_tree_from_parity(aut: Automaton) -> ZielonkaTree:
                 raise PreconditionViolation(
                     "not a Muller condition over the input letters")
             if letter_bits not in nodes:
-                states = sorted({e[0] for e in edges})
                 nodes[letter_bits] = build(_closed_part(delta, states, letter_bits))
             kids.append(nodes[letter_bits])
         return ZielonkaTree(alphabet, label, accepts(cover), tuple(kids))
