@@ -109,13 +109,20 @@ class Alphabet:
         return 1 << self.position(symbol)
 
     def bits(self, symbols: Iterable[str]) -> int:
+        return self.bitsets((symbols,))[0]
+
+    def bitsets(self, groups: Iterable[Iterable[str]]) -> list[int]:
+        """The bitset of each group of symbols, in order."""
         bit = self._bit  # type: ignore[attr-defined]
-        out = 0
-        for sym in symbols:
-            try:
-                out |= bit[sym]
-            except (KeyError, TypeError):
-                raise MalformedInput(f"unknown symbol {sym!r}") from None
+        out = []
+        for group in groups:
+            bits = 0
+            for sym in group:
+                try:
+                    bits |= bit[sym]
+                except (KeyError, TypeError):
+                    raise MalformedInput(f"unknown symbol {sym!r}") from None
+            out.append(bits)
         return out
 
     def names(self, bits: int) -> tuple[str, ...]:
@@ -152,11 +159,8 @@ class MullerCondition:
     def make(cls, symbols: Iterable[str],
              accepting_sets: Iterable[Iterable[str]]) -> "MullerCondition":
         alphabet = symbols if isinstance(symbols, Alphabet) else Alphabet(tuple(symbols))
-        family = set()
-        for group in accepting_sets:
-            bits = alphabet.bits(group)
-            if bits:  # the empty set can never be produced infinitely often
-                family.add(bits)
+        family = set(alphabet.bitsets(accepting_sets))
+        family.discard(0)  # the empty set can never be produced infinitely often
         return cls(alphabet, frozenset(family))
 
     def admits(self, bits: int) -> bool:
@@ -339,6 +343,25 @@ class Automaton:
         return bits
 
 
+def _canonical_rows(initial, table: Mapping, inp: Alphabet
+                    ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Rows of the states reachable from initial, renumbered in breadth-first
+    discovery order.  table maps a state to its row, one (target, output
+    position) per input position, None where a transition is missing."""
+    order, queue, rows = {initial: 0}, [initial], []
+    for state in queue:  # queue grows as states are found
+        row = table.get(state) or (None,)
+        if None in row:
+            raise MalformedInput(f"missing transition from state {state}"
+                                 f" on {inp.symbols[row.index(None)]!r}")
+        for target, _ in row:
+            if target not in order:
+                order[target] = len(order)
+                queue.append(target)
+        rows.append(tuple([(order[target], colour) for target, colour in row]))
+    return tuple(rows)
+
+
 def build_automaton(*, initial: int,
                     transitions: Mapping[tuple[int, str], tuple[int, str]],
                     input_symbols: Iterable[str],
@@ -347,31 +370,20 @@ def build_automaton(*, initial: int,
     """Assemble an automaton and normalise it.
 
     transitions maps (state, input symbol) to (state, output symbol) and must
-    be complete on every state reachable from the initial one.  Reachable
-    states are renumbered in breadth-first discovery order, input symbols
-    taken in alphabet order, and unreachable states are discarded.
+    be complete on every state reachable from the initial one; the output
+    symbol of every entry must be in the output alphabet.  Reachable states
+    are renumbered in breadth-first discovery order, input symbols taken in
+    alphabet order, and unreachable states are discarded.
     """
     inp = input_symbols if isinstance(input_symbols, Alphabet) else Alphabet(tuple(input_symbols))
     out = output_symbols if isinstance(output_symbols, Alphabet) else Alphabet(tuple(output_symbols))
-    order: dict[int, int] = {initial: 0}
-    queue = [initial]
-    rows: list[tuple[tuple[int, int], ...]] = []
-    for state in queue:  # queue grows as states are found
-        row: list[tuple[int, int]] = []
-        for sym in inp.symbols:
-            try:
-                target, colour = transitions[(state, sym)]
-            except KeyError:
-                raise MalformedInput(
-                    f"missing transition from state {state} on {sym!r}") from None
-            if target not in order:
-                order[target] = len(order)
-                queue.append(target)
-            row.append((order[target], out.position(colour)))
-        rows.append(row)
-    # rows were produced in discovery order, so the table is already canonical
-    return Automaton(len(rows), 0, inp, out,
-                     tuple(tuple(row) for row in rows), acceptance)
+    table: dict = {}
+    for (state, sym), (target, colour) in transitions.items():
+        if sym in inp:
+            row = table.setdefault(state, [None] * len(inp))
+            row[inp.position(sym)] = (target, out.position(colour))
+    rows = _canonical_rows(initial, table, inp)
+    return Automaton(len(rows), 0, inp, out, rows, acceptance)
 
 
 def quotient(aut: Automaton, outputs: Sequence) -> Automaton:
@@ -386,14 +398,12 @@ def quotient(aut: Automaton, outputs: Sequence) -> Automaton:
         count, keys = len(keys), {}
         block = [keys.setdefault((block[q], tuple((block[t], outputs[c]) for t, c in row)),
                                  len(keys)) for q, row in enumerate(aut.delta)]
-    names = aut.output_alphabet.symbols
     # a dict keeps the last write, so the least member of a class writes last
-    transitions = {(block[q], sym): (block[target], names[colour])
-                   for q in reversed(range(aut.n_states))
-                   for sym, (target, colour) in zip(aut.input_alphabet.symbols, aut.delta[q])}
-    return build_automaton(initial=block[aut.initial], transitions=transitions,
-                           input_symbols=aut.input_alphabet,
-                           output_symbols=aut.output_alphabet, acceptance=aut.acceptance)
+    table = {block[q]: [(block[t], c) for t, c in aut.delta[q]]
+             for q in reversed(range(aut.n_states))}
+    rows = _canonical_rows(block[aut.initial], table, aut.input_alphabet)
+    return Automaton(len(rows), 0, aut.input_alphabet, aut.output_alphabet, rows,
+                     aut.acceptance)
 
 
 def strongly_connected_components(
@@ -602,9 +612,9 @@ def subcycles(edges: Sequence[tuple], within: int
     as (vertex bitset, cover, internal edges).  edges are (src, dst, label
     bitset, ...); silent edges (label 0) always count, and the cover is the
     union of the internal labels."""
-    kept = [e for e in edges if not e[2] & ~within]
-    for comp, inner in strongly_connected_components(
-            {v for e in kept for v in e[:2]}, kept):
+    kept = edges if within == -1 else [e for e in edges if not e[2] & ~within]
+    # a vertex on a cycle has an edge out along it, so sources suffice
+    for comp, inner in strongly_connected_components({e[0] for e in kept}, kept):
         if inner:
             yield sum(1 << v for v in comp), reduce(or_, (e[2] for e in inner)), inner
 
@@ -713,7 +723,7 @@ def acceptance_from_json(data: object, output_alphabet: Alphabet) -> Acceptance:
             if (not isinstance(pair, list) or len(pair) != 2
                     or not all(isinstance(part, list) for part in pair)):
                 raise MalformedInput("each pair must be a two-element list of lists")
-            parsed.append((output_alphabet.bits(pair[0]), output_alphabet.bits(pair[1])))
+            parsed.append(tuple(output_alphabet.bitsets(pair)))
         cls = RabinAcceptance if kind == "rabin" else StreettAcceptance
         return cls(tuple(parsed))
     if kind in ("genbuchi", "gencobuchi"):
@@ -721,7 +731,7 @@ def acceptance_from_json(data: object, output_alphabet: Alphabet) -> Acceptance:
         if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
             raise MalformedInput(f"{kind} acceptance needs a 'sets' list of lists")
         cls = GenBuchiAcceptance if kind == "genbuchi" else GenCoBuchiAcceptance
-        return cls(tuple(output_alphabet.bits(s) for s in sets))
+        return cls(tuple(output_alphabet.bitsets(sets)))
     raise MalformedInput(f"unknown acceptance kind {kind!r}")
 
 
@@ -751,7 +761,7 @@ def automaton_from_json(data: object) -> Automaton:
     if not isinstance(data["input"], list) or not isinstance(data["output"], list):
         raise MalformedInput("fields 'input' and 'output' must be lists of symbols")
     inp, out = Alphabet(tuple(data["input"])), Alphabet(tuple(data["output"]))
-    transitions: dict[tuple[int, str], tuple[int, str]] = {}
+    table: dict[int, list] = {}  # only the states that appear
     if not isinstance(data["delta"], list):
         raise MalformedInput("field 'delta' must be a list")
     for entry in data["delta"]:
@@ -762,12 +772,12 @@ def automaton_from_json(data: object) -> Automaton:
             raise MalformedInput("delta states must be integers")
         if not 0 <= q < n or not 0 <= target < n:
             raise MalformedInput("delta state out of range")
-        inp.position(sym)  # before hashing: a JSON list is no symbol
-        if (q, sym) in transitions:
+        a = inp.position(sym)
+        if (row := table.get(q)) is None:
+            row = table[q] = [None] * len(inp)
+        if row[a] is not None:
             raise MalformedInput(f"duplicate transition from state {q} on {sym!r}")
-        out.position(colour)
-        transitions[(q, sym)] = (target, colour)
+        row[a] = (target, out.position(colour))
     acceptance = acceptance_from_json(data["acceptance"], out)
-    return build_automaton(initial=initial, transitions=transitions,
-                           input_symbols=inp, output_symbols=out,
-                           acceptance=acceptance)
+    rows = _canonical_rows(initial, table, inp)
+    return Automaton(len(rows), 0, inp, out, rows, acceptance)

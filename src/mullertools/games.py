@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
+# strongly_connected_components only stays importable for perfbench/spans.py
 from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
                    PreconditionViolation, PropertyViolation, ScaleGuard,
                    alternating_children, bit_indices, condition_from_json,
@@ -49,10 +50,9 @@ class Arena:
         for v in range(n):
             if not out[v]:
                 raise MalformedInput(f"vertex {v} has no outgoing edge")
-        silent = [(src, dst) for src, dst, colour in self.edges if colour is None]
-        for _, internal in strongly_connected_components(range(n), silent):
-            if internal:
-                raise MalformedInput("arena has a cycle of silent edges only")
+        silent = [(src, dst, 0) for src, dst, colour in self.edges if colour is None]
+        if any(subcycles(silent, -1)):
+            raise MalformedInput("arena has a cycle of silent edges only")
         object.__setattr__(self, "_out", tuple(tuple(lst) for lst in out))
 
     @property

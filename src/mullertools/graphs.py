@@ -170,10 +170,8 @@ def vertex_alphabet(graph: SimpleGraph) -> Alphabet:
 def graph_edge_condition(graph: SimpleGraph) -> MullerCondition:
     """Muller condition over the vertex names whose accepting sets are
     exactly the endpoint pairs of the graph's edges."""
-    alphabet = vertex_alphabet(graph)
-    family = frozenset(alphabet.bits((str(u), str(v)))
-                       for u, v in graph.normalised_edges())
-    return MullerCondition(alphabet, family)
+    return MullerCondition.make(vertex_alphabet(graph),
+                                ((str(u), str(v)) for u, v in graph.normalised_edges()))
 
 
 def edge_alternation_automaton(graph: SimpleGraph) -> Automaton:

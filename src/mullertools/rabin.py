@@ -8,6 +8,7 @@ from functools import cache, partial, reduce
 from operator import or_
 from typing import Iterator, Optional, Sequence
 
+# strongly_connected_components only stays importable for perfbench/spans.py
 from .core import (Automaton, MalformedInput, MullerAcceptance, MullerCondition,
                    PreconditionViolation, PropertyViolation, RabinAcceptance,
                    ScaleGuard, UnsupportedOperation, accepting_colour_set,
@@ -164,22 +165,19 @@ def _reachable_product(a1: Automaton, a2: Automaton, max_states: int):
 
 
 def _exists_accepted_rejected(edges, meet_bits: int, streett_pairs) -> bool:
-    """Search for a strongly connected edge set meeting meet_bits on the left
-    colours while failing every Streett pair on the right colours."""
-    verts = {v for e in edges for v in e[:2]}
-    for _, internal in strongly_connected_components(verts, edges) if edges else ():
-        if not internal:
-            continue
-        right = reduce(or_, (e[3] for e in internal))
-        drop = reduce(or_, (first for first, second in streett_pairs
-                            if right & first and not right & second), 0)
-        if not drop:
-            if any(c1 & meet_bits for _, _, c1, _ in internal):
-                return True
-        else:
-            rest = [e for e in internal if not e[3] & drop]
-            if _exists_accepted_rejected(rest, meet_bits, streett_pairs):
-                return True
+    """Search for a strongly connected set of the edges, each (src, dst,
+    right colour bit, left colour bit), meeting meet_bits on the left colours
+    while failing every Streett pair on the right colours."""
+    work = [(edges, -1)] if edges else []
+    while work:
+        for _, right, inner in subcycles(*work.pop()):
+            drop = reduce(or_, (first for first, second in streett_pairs
+                                if right & first and not right & second), 0)
+            if not drop:
+                if any(e[3] & meet_bits for e in inner):
+                    return True
+            elif any(not e[2] & drop for e in inner):  # else nothing is left to split
+                work.append((inner, ~drop))
     return False
 
 
@@ -196,16 +194,16 @@ def rabin_equivalent(a1: Automaton, a2: Automaton) -> bool:
         raise UnsupportedOperation("rabin_equivalent needs Rabin acceptance on both sides")
     edges = _reachable_product(a1, a2, MAX_RABIN_PRODUCT)
     swapped = [(src, dst, c2, c1) for src, dst, c1, c2 in edges]
-    return not any(_exists_accepted_rejected([e for e in product if not e[2] & avoid],
+    # the right side's colours go in position 2, where subcycles reads labels
+    return not any(_exists_accepted_rejected([e for e in product if not e[3] & avoid],
                                              meet, right.acceptance.pairs)
-                   for product, left, right in ((edges, a1, a2), (swapped, a2, a1))
+                   for product, left, right in ((swapped, a1, a2), (edges, a2, a1))
                    for meet, avoid in left.acceptance.pairs)
 
 
-def _cycle_covers(edges: Sequence[tuple[int, int, int]]
-                  ) -> Iterator[tuple[tuple[int, ...], int]]:
+def _cycle_covers(edges: Sequence[tuple[int, int, int]]) -> Iterator[tuple[int, int]]:
     """Every strongly connected component of every label restriction of a
-    graph, once each, as (sorted vertex tuple, cover).
+    graph, once each, as (vertex bitset, cover).
 
     edges are (src, dst, label) with label a bitset.  A restriction drops the
     edges whose label meets some set of bits; silent edges (label 0) are
@@ -226,21 +224,10 @@ def _cycle_covers(edges: Sequence[tuple[int, int, int]]
     Rabin pair synthesis and the generalised Buchi self-check among them,
     walk core.subcycles.
     """
-    def split(edges, vertices, need):
-        found = []
-        for comp, internal in strongly_connected_components(vertices, edges):
-            cover = 0
-            for e in internal:
-                cover |= e[2]
-            if internal and not need & ~cover:
-                found.append((comp, internal, cover, need))
-        return found
-
-    ends = {v for e in edges for v in e[:2]}
-    stack = split(edges, ends, 0)[::-1]
+    stack = [(verts, cover, inner, 0) for verts, cover, inner in subcycles(edges, -1)][::-1]
     while stack:
-        comp, internal, cover, need = stack.pop()
-        yield comp, cover
+        verts, cover, internal, need = stack.pop()
+        yield verts, cover
         children = []
         free = cover & ~need
         while free:
@@ -248,7 +235,8 @@ def _cycle_covers(edges: Sequence[tuple[int, int, int]]
             free ^= bit
             kept = [e for e in internal if not e[2] & bit]
             if not need & ~reduce(or_, (e[2] for e in kept), 0):
-                children += split(kept, comp, need)
+                children += [(v, c, inner, need) for v, c, inner in subcycles(kept, -1)
+                             if not need & ~c]
             need |= bit
         stack += reversed(children)
 
@@ -378,26 +366,26 @@ def _letter_swaps(cond: MullerCondition) -> list[tuple[int, int]]:
             if all(swapped(bits, a, b) in cond.accepting for bits in cond.accepting)]
 
 
-def _kept_first_rows(k: int, g: int, swaps: list[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """First-reference first rows in lexicographic order, without those that
-    a family-preserving letter swap, renumbered, makes smaller.  Renaming
-    letters that way keeps typeness, so the smallest typeable table never
-    starts with a dropped row."""
+def _first_rows(k: int, g: int) -> list[tuple[int, ...]]:
+    """First-reference first rows of k-state tables over g letters, ascending."""
     rows: list[tuple[int, ...]] = [()]
     for _ in range(g):
         rows = [row + (v,) for row in rows
                 for v in range(min(max(row, default=0) + 1, k - 1) + 1)]
+    return rows
 
-    def beaten(row: tuple[int, ...]) -> bool:
-        for a, b in swaps:
-            names = {0: 0}
-            image = list(row)
-            image[a], image[b] = row[b], row[a]
-            if tuple(names.setdefault(v, len(names)) for v in image) < row:
-                return True
-        return False
 
-    return [row for row in rows if not beaten(row)]
+def _beaten(row: tuple[int, ...], swaps: list[tuple[int, int]]) -> bool:
+    """Whether a family-preserving letter swap, renumbered, makes the first
+    row smaller.  Renaming letters that way keeps typeness, so the smallest
+    typeable table never starts with such a row."""
+    for a, b in swaps:
+        names = {0: 0}
+        image = list(row)
+        image[a], image[b] = row[b], row[a]
+        if tuple(names.setdefault(v, len(names)) for v in image) < row:
+            return True
+    return False
 
 
 def _conflicts(cond: MullerCondition) -> list[tuple[int, int]]:
@@ -418,17 +406,19 @@ def _lower_bound(cond: MullerCondition, conflicts: list[tuple[int, int]]) -> int
 
 def _find_structure(k: int, g: int, acc: bytearray, swaps: list[tuple[int, int]],
                     conflicts: list[tuple[int, int]]) -> Optional[tuple[int, ...]]:
-    rows = _kept_first_rows(k, g, swaps)
+    rows = _first_rows(k, g)
+    kept = cache(lambda row: not _beaten(row, swaps))  # asked as the search reaches a row
     check = _Typeness(k, g, acc)
     # letter-determined tables first: they cover proper-colouring style
     # witnesses immediately and keep the returned structure small and tidy;
     # a row sending two conflicting letters to one state gives it both loops
     for row in rows:
-        if max(row, default=0) == k - 1 and all(row[a] != row[b] for a, b in conflicts):
+        if (max(row, default=0) == k - 1 and all(row[a] != row[b] for a, b in conflicts)
+                and kept(row)):
             for flat in _tables(k, g, row * k, check):
                 return flat
     for row in rows:
-        for flat in _tables(k, g, row, check):
+        for flat in _tables(k, g, row, check) if kept(row) else ():
             return flat
     return None
 

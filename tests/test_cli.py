@@ -320,6 +320,19 @@ def test_verify_losing_strategy_exits_one(capsys, tmp_path):
     assert json.loads(out) == {"verified": False}
 
 
+def test_huge_state_count_with_short_delta_is_exit_two(capsys, tmp_path):
+    # the table holds only the states the delta names, so a huge "states"
+    # allocates nothing and the missing transition is reported
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "states": 10 ** 12, "initial": 0, "input": ["a", "b"], "output": ["0"],
+        "delta": [[0, "a", 0, "0"]],
+        "acceptance": {"kind": "parity", "priorities": {"0": 0}}}))
+    code, out, err = run(capsys, "minparity", str(path))
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: missing transition from state 0 on 'b'"
+
+
 @pytest.mark.parametrize("field_name", ["states", "initial"])
 def test_verify_refuses_non_integer_memory_field(capsys, tmp_path, field_name):
     arena = separation_game()

@@ -176,6 +176,42 @@ def test_quotient_keeps_the_language_and_forgets_inflation():
     assert merged >= 10
 
 
+def names_quotient(aut, outputs):
+    """Reference quotient: states are equivalent when they agree on outputs
+    for every word, by refining the pair relation to a fixed point; a class
+    keeps the row of its least member, rebuilt through build_automaton by
+    symbol name."""
+    n, delta = aut.n_states, aut.delta
+    same = {(p, q) for p in range(n) for q in range(n)}
+    while True:
+        kept = {(p, q) for p, q in same
+                if all(outputs[cp] == outputs[cq] and (tp, tq) in same
+                       for (tp, cp), (tq, cq) in zip(delta[p], delta[q]))}
+        if kept == same:
+            break
+        same = kept
+    least = [min(q for q in range(n) if (p, q) in same) for p in range(n)]
+    ins, outs = aut.input_alphabet.symbols, aut.output_alphabet.symbols
+    transitions = {(q, ins[a]): (least[t], outs[c])
+                   for q in set(least) for a, (t, c) in enumerate(delta[q])}
+    return build_automaton(initial=least[aut.initial], transitions=transitions,
+                           input_symbols=ins, output_symbols=outs,
+                           acceptance=aut.acceptance)
+
+
+def test_quotient_matches_names_reference():
+    rng = random.Random(167)
+    for i in range(150):
+        if i % 2:
+            aut = random_parity_automaton(rng, rng.randint(1, 5), 2, 3)
+            outputs = aut.acceptance.priorities
+        else:
+            aut = random_muller_automaton(rng, rng.randint(1, 5), 2, 2)
+            outputs = range(len(aut.output_alphabet))
+        for version in (aut, inflate(aut, rng, 3)):
+            assert quotient(version, outputs) == names_quotient(version, outputs)
+
+
 def test_scc_decomposition():
     edges = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (4, 4)]
     comps = strongly_connected_components(range(5), edges)
@@ -216,7 +252,7 @@ def test_cycle_covers_match_walk_oracle():
         found = list(_cycle_covers(edges))
         assert len(found) == len(set(found))  # each component once
         for v in range(n):
-            covers = {cover for comp, cover in found if v in comp}
+            covers = {cover for verts, cover in found if verts >> v & 1}
             assert covers == closed_walk_sets(n, edges, v)
 
 

@@ -65,6 +65,15 @@ def test_arena_validation():
     assert arena.out_edges(0) == (0,)
 
 
+def test_two_vertex_silent_cycle_is_refused():
+    # 0 -> 1 is coloured; 1 and 2 reach each other over silent edges only
+    edges = ((0, 1, 0), (1, 2, None), (2, 1, None), (2, 0, 1))
+    with pytest.raises(MalformedInput, match="^arena has a cycle of silent edges only$"):
+        Arena(AB, (True, False, True), 0, edges)
+    # colouring one of the two silent edges breaks the cycle
+    assert not Arena(AB, (True, False, True), 0, edges[:2] + ((2, 1, 0),) + edges[3:]).epsilon_free
+
+
 def test_memory_structure_validation():
     with pytest.raises(MalformedInput):
         MemoryStructure("weird", 1, 0, ((0,),))

@@ -10,12 +10,12 @@ import pytest
 from mullertools.cli import main
 from mullertools.core import (Alphabet, Automaton, MullerAcceptance,
                               MullerCondition, ParityAcceptance, PeriodicWord,
-                              PreconditionViolation, ScaleGuard,
-                              accepting_colour_set, accepts_up_word,
+                              PreconditionViolation, RabinAcceptance,
+                              ScaleGuard, accepting_colour_set, accepts_up_word,
                               build_automaton, complement_condition,
                               condition_to_json)
 from mullertools.rabin import (NotRabinTypeable, RabinTypenessReport,
-                               _conflicts, _kept_first_rows, _letter_swaps,
+                               _beaten, _conflicts, _first_rows, _letter_swaps,
                                _lower_bound,
                                canonical_structures, check_rabin_typeable,
                                chromatic_memory, min_rabin_size,
@@ -26,7 +26,8 @@ from mullertools.graphs import SimpleGraph, graph_edge_condition
 from mullertools.zielonka import parity_automaton
 
 from generators import (inflate, random_condition, random_genbuchi_automaton,
-                        random_muller_automaton, random_rabin_automaton)
+                        random_muller_automaton, random_rabin_automaton,
+                        random_transitions)
 from oracles import (automaton_cycle_sets, brute_chromatic, brute_min_rabin_size,
                      colour_set_wins, first_reference_tables, product_agrees)
 
@@ -286,6 +287,43 @@ def test_rabin_equivalent_matches_generic_check():
         assert rabin_equivalent(a1, a1)
 
 
+def chained_rabin_automaton(rng: random.Random, n_states: int, n_pairs: int) -> Automaton:
+    """Random two-letter Rabin automaton over n_pairs + 1 colours whose
+    pairs chain: the second component of pair i is the colour that the first
+    component of pair i - 1 is built on.  Read as Streett pairs, a part that
+    fails pair i - 1 drops that colour and may then fail pair i on what is
+    left, and so on down the chain."""
+    colours = [1 << c for c in range(n_pairs + 1)]
+    rng.shuffle(colours)
+    pairs = tuple((colours[i] | (colours[-1] if rng.random() < 0.3 else 0),
+                   colours[i - 1] if i else 0) for i in range(n_pairs))
+    outputs = tuple(str(c) for c in range(n_pairs + 1))
+    return build_automaton(initial=0,
+                           transitions=random_transitions(rng, n_states, "ab", outputs),
+                           input_symbols="ab", output_symbols=outputs,
+                           acceptance=RabinAcceptance(pairs))
+
+
+def test_rabin_equivalent_matches_walk_oracle_on_chained_pairs():
+    rng = random.Random(211)
+    verdicts = []
+    for _ in range(150):
+        a1 = chained_rabin_automaton(rng, rng.randint(1, 4), rng.randint(2, 5))
+        pick = rng.random()
+        if pick < 0.4:
+            a2 = inflate(a1, rng, 2)
+        elif pick < 0.7:  # the same structure under another chain of pairs
+            pairs = chained_rabin_automaton(rng, 1, len(a1.output_alphabet) - 1)
+            a2 = inflate(replace(a1, acceptance=pairs.acceptance), rng, 2)
+        else:
+            a2 = chained_rabin_automaton(rng, rng.randint(1, 4), len(a1.output_alphabet) - 1)
+        same = rabin_equivalent(a1, a2)
+        assert same == product_agrees(a1, a2)
+        assert rabin_equivalent(a2, a1) == same
+        verdicts.append(same)
+    assert min(verdicts.count(True), verdicts.count(False)) >= 20
+
+
 def test_muller_equivalent_matches_product_oracle():
     rng = random.Random(179)
     verdicts = []
@@ -451,7 +489,8 @@ def test_mixed_witness_searches_first_rows():
     size, witness = min_rabin_size(mixed, 3)
     assert size == 3
     assert flat_table(witness) == (0, 0, 0, 1, 1, 0, 2, 1, 0, 0, 2, 2)
-    assert len(_kept_first_rows(3, 4, _letter_swaps(mixed))) == 28
+    swaps = _letter_swaps(mixed)
+    assert sum(not _beaten(row, swaps) for row in _first_rows(3, 4)) == 28
 
 
 def test_min_rabin_scale_guards():
