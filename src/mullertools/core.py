@@ -159,9 +159,8 @@ class MullerCondition:
     def make(cls, symbols: Iterable[str],
              accepting_sets: Iterable[Iterable[str]]) -> "MullerCondition":
         alphabet = symbols if isinstance(symbols, Alphabet) else Alphabet(tuple(symbols))
-        family = set(alphabet.bitsets(accepting_sets))
-        family.discard(0)  # the empty set can never be produced infinitely often
-        return cls(alphabet, frozenset(family))
+        # the empty set can never be produced infinitely often
+        return cls(alphabet, frozenset(filter(None, alphabet.bitsets(accepting_sets))))
 
     def admits(self, bits: int) -> bool:
         if bits <= 0:
@@ -191,6 +190,12 @@ class MullerAcceptance:
     condition: MullerCondition
     kind = "muller"
 
+    def accepts(self, bits: int) -> bool:
+        return bits in self.condition.accepting
+
+    def children(self, bits: int) -> tuple[int, ...]:
+        return self.condition.children(bits)
+
 
 @dataclass(frozen=True)
 class ParityAcceptance:
@@ -206,67 +211,75 @@ class ParityAcceptance:
             if not is_integer(p) or p < 0:
                 raise MalformedInput(f"priority {p!r} must be a non-negative integer")
 
+    def accepts(self, bits: int) -> bool:
+        return max(self.priorities[i] for i in bit_indices(bits)) % 2 == 0
+
+    def children(self, bits: int) -> tuple[int, ...]:
+        """At most one: the colours up to the top priority of the other parity."""
+        prio = self.priorities
+        top = max(prio[i] for i in bit_indices(bits))
+        below = max((prio[i] for i in bit_indices(bits) if (prio[i] - top) % 2), default=-1)
+        return (sum(1 << i for i in bit_indices(bits) if prio[i] <= below),) if below >= 0 else ()
+
+
+class _SubsetDescent:
+    """Zielonka children by the subset descent of zielonka_children."""
+
+    def children(self, bits: int) -> tuple[int, ...]:
+        return tuple(zielonka_children(bits, self.accepts))  # type: ignore[attr-defined]
+
 
 @dataclass(frozen=True)
-class RabinAcceptance:
+class RabinAcceptance(_SubsetDescent):
     """Pairs of colour bitsets; a set wins if it meets some pair's first
     component and avoids that pair's second component."""
 
     pairs: tuple[tuple[int, int], ...]
     kind = "rabin"
 
+    def accepts(self, bits: int) -> bool:
+        return any(bits & first and not bits & second for first, second in self.pairs)
+
 
 @dataclass(frozen=True)
-class StreettAcceptance:
+class StreettAcceptance(_SubsetDescent):
     """Pairs of colour bitsets; a set wins if for every pair, meeting the
     first component implies meeting the second."""
 
     pairs: tuple[tuple[int, int], ...]
     kind = "streett"
 
+    def accepts(self, bits: int) -> bool:
+        return all(not bits & first or bits & second for first, second in self.pairs)
+
 
 @dataclass(frozen=True)
-class GenBuchiAcceptance:
+class GenBuchiAcceptance(_SubsetDescent):
     """A set wins if it meets every listed bitset (an empty member is unsatisfiable)."""
 
     sets: tuple[int, ...]
     kind = "genbuchi"
 
+    def accepts(self, bits: int) -> bool:
+        return all(bits & s for s in self.sets)
+
 
 @dataclass(frozen=True)
-class GenCoBuchiAcceptance:
+class GenCoBuchiAcceptance(_SubsetDescent):
     """A set wins if it avoids some listed bitset entirely."""
 
     sets: tuple[int, ...]
     kind = "gencobuchi"
 
+    def accepts(self, bits: int) -> bool:
+        return any(not bits & s for s in self.sets)
 
+
+# Every kind answers accepts(bits), its verdict on a non-empty set of output
+# positions, and children(bits), the set's children in the Zielonka tree; an
+# Automaton checks that its acceptance fits its outputs, so neither checks bits.
 Acceptance = Union[MullerAcceptance, ParityAcceptance, RabinAcceptance,
                    StreettAcceptance, GenBuchiAcceptance, GenCoBuchiAcceptance]
-
-
-def accepting_colour_set(acceptance: Acceptance, bits: int) -> bool:
-    """Decide whether a non-empty colour bitset satisfies the acceptance."""
-    if bits <= 0:
-        raise PreconditionViolation("acceptance query on an empty colour set")
-    kind = acceptance.kind
-    if kind == "muller":
-        return acceptance.condition.admits(bits)
-    if kind == "parity":
-        if bits >> len(acceptance.priorities):
-            raise MalformedInput("colour set uses symbols outside the alphabet")
-        return max(acceptance.priorities[i] for i in bit_indices(bits)) % 2 == 0
-    if kind == "rabin":
-        return any(bits & first and not bits & second
-                   for first, second in acceptance.pairs)
-    if kind == "streett":
-        return all(not bits & first or bits & second
-                   for first, second in acceptance.pairs)
-    if kind == "genbuchi":
-        return all(bits & s for s in acceptance.sets)
-    if kind == "gencobuchi":
-        return any(not bits & s for s in acceptance.sets)
-    raise UnsupportedOperation(f"unknown acceptance kind {kind!r}")
 
 
 def dualise(acceptance: Acceptance) -> Acceptance:
@@ -322,9 +335,12 @@ class Automaton:
                     raise MalformedInput("transition target out of range")
                 if not 0 <= colour < n_out:
                     raise MalformedInput("transition colour out of range")
-        if (self.acceptance.kind == "muller"
-                and self.acceptance.condition.alphabet != self.output_alphabet):
+        kind = self.acceptance.kind
+        if kind == "muller" and self.acceptance.condition.alphabet != self.output_alphabet:
             raise MalformedInput("a Muller acceptance must be over the output alphabet")
+        if kind == "parity" and len(self.acceptance.priorities) != n_out:
+            raise MalformedInput(f"parity acceptance has {len(self.acceptance.priorities)}"
+                                 f" priorities for {n_out} output symbols")
 
     def successor(self, state: int, symbol: str) -> tuple[int, int]:
         return self.delta[state][self.input_alphabet.position(symbol)]
@@ -567,7 +583,7 @@ def accepts_up_word(aut: Automaton, word: PeriodicWord) -> bool:
         for sym in word.period:
             state, colour = aut.successor(state, sym)
             colours |= 1 << colour
-    return accepting_colour_set(aut.acceptance, colours)
+    return aut.acceptance.accepts(colours)
 
 
 def max_inclusion(family: Iterable[int]) -> list[int]:
@@ -629,9 +645,9 @@ def alternating_children(internal: Sequence[tuple], cover: int,
     making up cover, on the other side of accepts, by ascending cover.
 
     split(colours) gives the largest subsets of colours on the other side
-    (zielonka_children).  Each child lies in a Zielonka child of the cover,
-    inside a component of the edges coloured there, or if that component is
-    on the node's side, inside one of its own."""
+    (the acceptance's children).  Each child lies in a Zielonka child of the
+    cover, inside a component of the edges coloured there, or if that
+    component is on the node's side, inside one of its own."""
     side = accepts(cover)
     found: dict[tuple[int, int], tuple] = {}
     work = [(internal, cover)]
@@ -662,16 +678,21 @@ def condition_to_json(cond: MullerCondition) -> dict:
     }
 
 
-def condition_from_json(data: object) -> MullerCondition:
+def condition_from_json(data: object, alphabet: Alphabet | None = None) -> MullerCondition:
+    """Given an alphabet, the condition must name its symbols and is read onto its order."""
     if not isinstance(data, dict):
         raise MalformedInput("condition must be a JSON object")
-    alphabet = data.get("alphabet")
+    symbols = data.get("alphabet")
     accepting = data.get("accepting")
-    if not isinstance(alphabet, list) or not all(map(isinstance, alphabet, repeat(str))):
+    if not isinstance(symbols, list) or not all(map(isinstance, symbols, repeat(str))):
         raise MalformedInput("condition field 'alphabet' must be a list of strings")
     if not isinstance(accepting, list) or not all(map(isinstance, accepting, repeat(list))):
         raise MalformedInput("condition field 'accepting' must be a list of lists")
-    return MullerCondition.make(alphabet, accepting)
+    own = Alphabet(tuple(symbols))
+    if alphabet is not None and set(own) != set(alphabet):
+        own.bitsets(accepting)  # an unknown symbol is named before the mismatch
+        raise MalformedInput("Muller acceptance alphabet must name the output symbols")
+    return MullerCondition.make(alphabet or own, accepting)
 
 
 def acceptance_to_json(acceptance: Acceptance, output_alphabet: Alphabet) -> dict:
@@ -698,13 +719,7 @@ def acceptance_from_json(data: object, output_alphabet: Alphabet) -> Acceptance:
         raise MalformedInput("acceptance must be an object with a 'kind' field")
     kind = data["kind"]
     if kind == "muller":
-        cond = condition_from_json(
-            {"alphabet": data.get("alphabet"), "accepting": data.get("accepting")})
-        if set(cond.alphabet) != set(output_alphabet):
-            raise MalformedInput("Muller acceptance alphabet must name the output symbols")
-        if cond.alphabet != output_alphabet:  # the sets name symbols; colours follow output
-            cond = MullerCondition.make(output_alphabet, data["accepting"])
-        return MullerAcceptance(cond)
+        return MullerAcceptance(condition_from_json(data, output_alphabet))
     if kind == "parity":
         prios = data.get("priorities")
         if not isinstance(prios, dict):

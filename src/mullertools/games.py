@@ -12,7 +12,7 @@ from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
                    alternating_children, bit_indices, condition_from_json,
                    condition_to_json, cycles_through, is_integer,
                    strongly_connected_components, subcycles)
-from .rabin import MAX_TABLE_CELLS, canonical_structures, min_rabin_size
+from .rabin import MAX_TABLE_CELLS, _typeable_tables, canonical_structures
 from .zielonka import MAX_TREE_LETTERS, check_tree_alphabet, parity_automaton
 
 # most (vertex, memory state) configurations verify_strategy may reach
@@ -532,11 +532,11 @@ def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
     structure of a minimal Rabin automaton for it is a chromatic memory with
     which the colour player wins every game over it that they win at all
     (Casares 2021; it rests on the positionality of Rabin games, Klarlund
-    1994).  The game is won here, so once min_rabin_size finds that
-    structure at the current size, the size is the answer and no table is
-    drawn for it.  Smaller sizes are still enumerated in full, and sizes
-    whose tables exceed the structure search's MAX_TABLE_CELLS are only
-    enumerated.
+    1994).  The game is won here, so once the structure search of
+    min_rabin_size, run one size after another, finds that structure at the
+    current size, the size is the answer and no table is drawn for it.
+    Smaller sizes are still enumerated in full, and sizes whose tables
+    exceed the structure search's MAX_TABLE_CELLS are only enumerated.
     """
     if max_size < 1:
         raise PreconditionViolation(f"state budget {max_size} is below 1")
@@ -551,8 +551,9 @@ def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
         colours for colours in range(1, 1 << g) if colours not in rejecting[0]))
     if arena.initial in muller_regions(arena, own)[1]:
         return None
+    tables = _typeable_tables(own)  # stepped once a size: the sizes that fit come first
     for size in range(1, max_size + 1):
-        if size * g <= MAX_TABLE_CELLS and min_rabin_size(own, size)[0] == size:
+        if size * g <= MAX_TABLE_CELLS and next(tables)[1] is not None:
             return size
         for flat in canonical_structures(size, g):
             update = tuple(tuple(flat[m * g + c] for c in range(g))
@@ -595,7 +596,6 @@ def _exists_winning_table(arena: Arena, memory: MemoryStructure,
     eve_configs: list[tuple[int, int]] = []
     out: list[list[tuple[int, int]]] = []  # per node: (successor, colour bit)
     edges: list[tuple[int, int, int]] = []  # (src, dst, colour bit), in order
-    assignment: dict[tuple[int, int], int] = {}
 
     def add_edge(src: int, dst: int, colour: Optional[int]) -> None:
         bits = 0 if colour is None else 1 << colour
@@ -625,8 +625,7 @@ def _exists_winning_table(arena: Arena, memory: MemoryStructure,
         return True
 
     def explore(cursor: int) -> bool:
-        while cursor < len(eve_configs) and eve_configs[cursor] in assignment:
-            cursor += 1
+        # a move is chosen at the configurations before cursor, and only there
         if cursor == len(eve_configs):
             return True  # the check after the last choice covered the graph
         cfg = eve_configs[cursor]
@@ -638,10 +637,8 @@ def _exists_winning_table(arena: Arena, memory: MemoryStructure,
             nxt = (dst, memory.step(m, e, colour))
             discover(nxt)
             add_edge(index[cfg], index[nxt], colour)
-            assignment[cfg] = e
             if new_cycles_accepting(saved_edges) and explore(cursor + 1):
                 return True
-            del assignment[cfg]
             for gone in order[saved_nodes:]:
                 del index[gone]
             del order[saved_nodes:]

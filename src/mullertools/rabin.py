@@ -4,17 +4,16 @@ an explicit Muller condition Rabin-expressible."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, reduce
+from itertools import count, islice
 from operator import or_
 from typing import Iterator, Optional, Sequence
 
 # strongly_connected_components only stays importable for perfbench/spans.py
 from .core import (Automaton, MalformedInput, MullerAcceptance, MullerCondition,
                    PreconditionViolation, PropertyViolation, RabinAcceptance,
-                   ScaleGuard, UnsupportedOperation, accepting_colour_set,
-                   alternating_children, cycles_through, quotient,
-                   strongly_connected_components, subcycles, transition_alphabet,
-                   zielonka_children)
+                   ScaleGuard, UnsupportedOperation, alternating_children, cycles_through,
+                   quotient, strongly_connected_components, subcycles, transition_alphabet)
 from .graphs import SimpleGraph, chromatic_number
 from .zielonka import general_memory
 
@@ -24,6 +23,7 @@ MAX_RABIN_PRODUCT = 4000
 MAX_COLOUR_BITS = 14  # most colour bits per side of a walk over all covers of _cycle_covers
 # most cells (states × letters) of a table the structure search may fill
 MAX_TABLE_CELLS = 36
+MAX_SEARCH_CELLS = 2_000_000  # cells one search may try over all sizes: tens of seconds
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ def _accepting_nodes(aut: Automaton) -> Iterator[tuple[tuple, list]]:
     used = aut.used_output_bits()
     if used.bit_count() > 20:
         raise ScaleGuard(f"{used.bit_count()} distinct colours, limit 20")
-    accepts = cache(partial(accepting_colour_set, aut.acceptance))
-    split = cache(lambda colours: zielonka_children(colours, accepts))
+    accepts, split = cache(aut.acceptance.accepts), cache(aut.acceptance.children)
     stack = list(subcycles(edges, used))[::-1]
     seen = set()  # overlapping children of a rejecting node share nodes below
     while stack:
@@ -259,8 +258,7 @@ def muller_equivalent(a1: Automaton, a2: Automaton) -> bool:
     joint = [(src, dst, c1 | c2 << shift) for src, dst, c1, c2 in edges]
     left = (1 << shift) - 1
     for _, cover in _cycle_covers(joint):
-        if (accepting_colour_set(a1.acceptance, cover & left)
-                != accepting_colour_set(a2.acceptance, cover >> shift)):
+        if a1.acceptance.accepts(cover & left) != a2.acceptance.accepts(cover >> shift):
             return False
     return True
 
@@ -279,8 +277,9 @@ class _Typeness:
     rule out Rabin acceptance, and adding edges never repairs that.
     """
 
-    def __init__(self, k: int, g: int, acc: bytearray):
+    def __init__(self, k: int, g: int, acc: bytearray, tried: int):
         self.g, self.acc = g, acc
+        self.tried = tried  # cells tried, by this check and the ones before it
         self.rejecting_with = [[c for c in range(1 << g) if (c >> a) & 1 and not acc[c]]
                                for a in range(g)]
         self.out: list[list[tuple[int, int]]] = [[] for _ in range(k)]  # (target, letter bit)
@@ -292,6 +291,10 @@ class _Typeness:
     def add(self, flat: list[int], i: int) -> bool:
         """Record the edge in cell i (cells before it are filled); on a
         violation undo the cell's records and return False."""
+        self.tried += 1
+        if self.tried > MAX_SEARCH_CELLS:
+            raise ScaleGuard(f"the structure search tried {self.tried} cells at"
+                             f" {len(self.out)} states, limit {MAX_SEARCH_CELLS}")
         g, acc, sets, seen, trail = self.g, self.acc, self.sets, self.seen, self.trail
         q, a = divmod(i, g)
         self.out[q].append((flat[i], 1 << a))
@@ -404,11 +407,10 @@ def _lower_bound(cond: MullerCondition, conflicts: list[tuple[int, int]]) -> int
     return max(chromatic_number(conflict_graph)[0], general_memory(cond))
 
 
-def _find_structure(k: int, g: int, acc: bytearray, swaps: list[tuple[int, int]],
+def _find_structure(k: int, g: int, check: _Typeness, swaps: list[tuple[int, int]],
                     conflicts: list[tuple[int, int]]) -> Optional[tuple[int, ...]]:
     rows = _first_rows(k, g)
     kept = cache(lambda row: not _beaten(row, swaps))  # asked as the search reaches a row
-    check = _Typeness(k, g, acc)
     # letter-determined tables first: they cover proper-colouring style
     # witnesses immediately and keep the returned structure small and tidy;
     # a row sending two conflicting letters to one state gives it both loops
@@ -421,6 +423,21 @@ def _find_structure(k: int, g: int, acc: bytearray, swaps: list[tuple[int, int]]
         for flat in _tables(k, g, row, check) if kept(row) else ():
             return flat
     return None
+
+
+def _typeable_tables(cond: MullerCondition) -> Iterator[tuple[int, Optional[tuple[int, ...]]]]:
+    """(k, the structure search's table with k states, or None) for k = 1,
+    2, ...; sizes below the lower bound are answered None unsearched, and
+    the cells tried add up over the sizes."""
+    g = len(cond.alphabet)
+    acc = bytearray(bits in cond.accepting for bits in range(1 << g))
+    swaps, conflicts = _letter_swaps(cond), _conflicts(cond)
+    bound, tried, flat = _lower_bound(cond, conflicts), 0, None
+    for k in count(1):
+        if k >= bound:
+            check = _Typeness(k, g, acc, tried)
+            flat, tried = _find_structure(k, g, check, swaps, conflicts), check.tried
+        yield k, flat
 
 
 def min_rabin_size(cond: MullerCondition,
@@ -437,7 +454,8 @@ def min_rabin_size(cond: MullerCondition,
     another: typeness is checked after every filled cell, and first rows
     that a family-preserving swap of two letters makes smaller are skipped.
     Returns (None, None) when no structure up to max_states works; a budget
-    below 1 raises PreconditionViolation.
+    below 1 raises PreconditionViolation, and a search that tries more than
+    MAX_SEARCH_CELLS cells over its sizes raises ScaleGuard.
 
     The bound b is the larger of two lower bounds, and a budget below it
     returns (None, None) without searching.  Call letters x and y
@@ -459,16 +477,10 @@ def min_rabin_size(cond: MullerCondition,
         raise ScaleGuard(f"{max_states} states × {g} letters = {max_states * g}"
                          f" cells, limit {MAX_TABLE_CELLS}; the structure search"
                          " would not finish at desk scale")
-    acc = bytearray(bits in cond.accepting for bits in range(1 << g))
-    swaps, conflicts = _letter_swaps(cond), _conflicts(cond)
-    for k in range(_lower_bound(cond, conflicts), max_states + 1):
-        flat = _find_structure(k, g, acc, swaps, conflicts)
+    for k, flat in islice(_typeable_tables(cond), max_states):
         if flat is not None:
-            rows = tuple(tuple((flat[q * g + a], a) for a in range(g))
-                         for q in range(k))
-            witness = Automaton(k, 0, cond.alphabet, cond.alphabet, rows,
-                                MullerAcceptance(cond))
-            return k, witness
+            rows = tuple(tuple((flat[q * g + a], a) for a in range(g)) for q in range(k))
+            return k, Automaton(k, 0, cond.alphabet, cond.alphabet, rows, MullerAcceptance(cond))
     return None, None
 
 

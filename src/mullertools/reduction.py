@@ -3,15 +3,14 @@ automaton, and minimisation of parity and generalised Buchi automata."""
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from operator import or_
 
 # _closed_part walks the transition rows itself; strongly_connected_components
 # stays importable here because perfbench/spans.py wraps it under this name
 from .core import (Alphabet, Automaton, GenBuchiAcceptance, PreconditionViolation,
-                   UnsupportedOperation, accepting_colour_set, alternating_children,
-                   bit_indices, max_inclusion, quotient, strongly_connected_components,
-                   subcycles)
+                   UnsupportedOperation, alternating_children, bit_indices, max_inclusion,
+                   quotient, strongly_connected_components, subcycles)
 from .zielonka import ZielonkaTree, parity_automaton_from_tree
 
 
@@ -98,24 +97,13 @@ def zielonka_tree_from_parity(aut: Automaton) -> ZielonkaTree:
     priority; the language restricted to infinite behaviours lives entirely
     inside such components.  A node's children are the largest letter sets
     of its alternating_children, the largest subcycles on the other side of
-    the acceptance, each grown to the closed part over its letters once.  A
-    parity cover has one Zielonka child: its colours up to the top priority
-    of the other parity.
+    the acceptance, each grown to the closed part over its letters once; a
+    parity cover has at most one Zielonka child (ParityAcceptance.children).
     """
     if aut.acceptance.kind != "parity":
         raise UnsupportedOperation("this operation needs a parity automaton")
-    prio = aut.acceptance.priorities
     alphabet = aut.input_alphabet
-    accepts = cache(partial(accepting_colour_set, aut.acceptance))
-
-    @cache
-    def split(colours: int) -> list[int]:
-        top = max(prio[i] for i in bit_indices(colours))
-        other = [prio[i] for i in bit_indices(colours) if (prio[i] - top) % 2]
-        if not other:
-            return []
-        return [sum(1 << i for i in bit_indices(colours) if prio[i] <= max(other))]
-
+    accepts, split = cache(aut.acceptance.accepts), cache(aut.acceptance.children)
     nodes: dict[int, ZielonkaTree] = {}
 
     def build(edges) -> ZielonkaTree:
@@ -135,7 +123,7 @@ def zielonka_tree_from_parity(aut: Automaton) -> ZielonkaTree:
 
     least = _closed_part(aut.delta, range(aut.n_states), alphabet.full_mask)[0][0]
     # the closed part is strongly connected: it is all that its least state reaches
-    delta = quotient(replace(aut, initial=least), prio).delta
+    delta = quotient(replace(aut, initial=least), aut.acceptance.priorities).delta
     return build([(q, target, 1 << colour, a) for q, row in enumerate(delta)
                   for a, (target, colour) in enumerate(row)])
 
@@ -174,7 +162,7 @@ def minimize_genbuchi(aut: Automaton) -> Automaton:
     maximal = max_inclusion(rejecting)
     for letters in maximal:
         for _, _, inner in subcycles(edges, letters):
-            if accepting_colour_set(aut.acceptance, reduce(or_, (e[3] for e in inner))):
+            if aut.acceptance.accepts(reduce(or_, (e[3] for e in inner))):
                 raise PreconditionViolation(
                     "language is not a conjunction of input letter sets met"
                     " infinitely often")

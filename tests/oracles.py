@@ -232,8 +232,12 @@ def colour_set_wins(acceptance, bits: int) -> bool:
         return top % 2 == 0
     if kind == "rabin":
         return any(bits & meet and not bits & avoid for meet, avoid in acceptance.pairs)
+    if kind == "streett":
+        return all(bits & meet == 0 or bits & need != 0 for meet, need in acceptance.pairs)
     if kind == "genbuchi":
         return all(bits & s for s in acceptance.sets)
+    if kind == "gencobuchi":
+        return any(bits & s == 0 for s in acceptance.sets)
     raise AssertionError(f"no oracle verdict for kind {kind!r}")
 
 

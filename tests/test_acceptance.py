@@ -5,8 +5,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from mullertools.core import (MullerCondition, PeriodicWord,
-                              accepting_colour_set, accepts_up_word)
+from mullertools.core import MullerCondition, PeriodicWord, accepts_up_word
 from mullertools.games import (at_least_two_colours,
                                min_chromatic_memory_exhaustive,
                                separation_chromatic_memory,
@@ -172,9 +171,9 @@ def test_criterion_7_rabin_machinery_agreement():
                 state, first, second = report.witness
                 sets = automaton_cycle_sets(aut, state, "output")
                 assert first in sets and second in sets
-                assert not accepting_colour_set(aut.acceptance, first)
-                assert not accepting_colour_set(aut.acceptance, second)
-                assert accepting_colour_set(aut.acceptance, first | second)
+                assert not aut.acceptance.accepts(first)
+                assert not aut.acceptance.accepts(second)
+                assert aut.acceptance.accepts(first | second)
                 continue
             rabin = synthesize_rabin_pairs(aut)
             assert muller_equivalent(aut, rabin)

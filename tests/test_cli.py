@@ -681,3 +681,18 @@ def test_verify_counts_update_entries_before_allocating(capsys, tmp_path):
     start = time.perf_counter()
     _refused(capsys, tmp_path, "verify", game, strategy)
     assert time.perf_counter() - start < 1
+
+
+def test_example22_lost_under_the_full_set_and_won_only_from_three_states(capsys, tmp_path):
+    _, out, _ = run(capsys, "gen", "example22")
+    path = tmp_path / "g.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "memgame", str(path), "--max-size", "2")
+    assert code == 0
+    assert json.loads(out) == {"min_chromatic_memory": None, "max_size": 2}
+    game = json.loads(path.read_text())
+    game["condition"]["accepting"] = [["a", "b", "c"]]
+    path.write_text(json.dumps(game))
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == 0
+    assert json.loads(out) == {"winner": "adam", "strategy": None}

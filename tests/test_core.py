@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mullertools.core import (Alphabet, Automaton, GenBuchiAcceptance,
-                              MalformedInput, MullerAcceptance, MullerCondition,
+                              GenCoBuchiAcceptance, MalformedInput, MullerAcceptance, MullerCondition,
                               ParityAcceptance, PeriodicWord,
                               PreconditionViolation, RabinAcceptance,
-                              StreettAcceptance, accepting_colour_set,
-                              accepts_up_word, automaton_from_json,
+                              StreettAcceptance, accepts_up_word, automaton_from_json,
                               automaton_to_json, bit_indices, build_automaton,
                               complement_condition, condition_from_json,
                               condition_to_json, dualise, edge_component,
@@ -21,7 +20,7 @@ from mullertools.rabin import _cycle_covers
 
 from generators import (inflate, random_condition, random_muller_automaton,
                         random_parity_automaton)
-from oracles import (closed_walk_sets, edge_walks, product_agrees,
+from oracles import (closed_walk_sets, colour_set_wins, edge_walks, product_agrees,
                      quad_max_inclusion, scc_by_reachability)
 
 
@@ -87,22 +86,22 @@ def test_max_inclusion_sorted_ascending():
 def test_accepting_colour_set_kinds():
     # outputs: bit 0, bit 1, bit 2
     muller = MullerAcceptance(MullerCondition.make(("0", "1", "2"), [("0", "1")]))
-    assert accepting_colour_set(muller, 0b011)
-    assert not accepting_colour_set(muller, 0b001)
+    assert muller.accepts(0b011)
+    assert not muller.accepts(0b001)
     parity = ParityAcceptance((1, 2, 3))
-    assert accepting_colour_set(parity, 0b011)      # max priority 2, even
-    assert not accepting_colour_set(parity, 0b101)  # max priority 3, odd
+    assert parity.accepts(0b011)      # max priority 2, even
+    assert not parity.accepts(0b101)  # max priority 3, odd
     rabin = RabinAcceptance(((0b001, 0b100),))
-    assert accepting_colour_set(rabin, 0b011)
-    assert not accepting_colour_set(rabin, 0b101)
-    assert not accepting_colour_set(rabin, 0b010)
+    assert rabin.accepts(0b011)
+    assert not rabin.accepts(0b101)
+    assert not rabin.accepts(0b010)
     streett = StreettAcceptance(((0b001, 0b100),))
-    assert accepting_colour_set(streett, 0b101)
-    assert accepting_colour_set(streett, 0b100)   # vacuous: first set unmet
-    assert not accepting_colour_set(streett, 0b001)
+    assert streett.accepts(0b101)
+    assert streett.accepts(0b100)   # vacuous: first set unmet
+    assert not streett.accepts(0b001)
     genbuchi = GenBuchiAcceptance((0b011, 0b110))
-    assert accepting_colour_set(genbuchi, 0b010)
-    assert not accepting_colour_set(genbuchi, 0b001)
+    assert genbuchi.accepts(0b010)
+    assert not genbuchi.accepts(0b001)
 
 
 def test_dualise_swaps_and_involutes():
@@ -123,7 +122,7 @@ def test_dualise_is_complement():
         acc = RabinAcceptance(pairs)
         dual = dualise(acc)
         for bits in range(1, 8):
-            assert accepting_colour_set(acc, bits) != accepting_colour_set(dual, bits)
+            assert acc.accepts(bits) != dual.accepts(bits)
 
 
 def test_build_automaton_is_bfs_canonical():
@@ -450,3 +449,62 @@ def test_condition_child_memo_is_no_part_of_its_value():
     assert worked.children(0b111) is children  # kept, not worked out again
     assert worked == fresh and hash(worked) == hash(fresh)
     assert len({worked, fresh}) == 1 and repr(worked) == repr(fresh)
+
+
+def _random_acceptances(rng: random.Random, g: int) -> list:
+    """One acceptance of every kind over g colours."""
+    full = (1 << g) - 1
+    sets = tuple(rng.randint(0, full) for _ in range(rng.randint(1, 3)))
+    pairs = tuple((rng.randint(0, full), rng.randint(0, full))
+                  for _ in range(rng.randint(1, 3)))
+    family = frozenset(bits for bits in range(1, full + 1) if rng.random() < 0.5)
+    return [MullerAcceptance(MullerCondition(Alphabet(tuple("abcde"[:g])), family)),
+            ParityAcceptance(tuple(rng.randint(0, 4) for _ in range(g))),
+            RabinAcceptance(pairs), StreettAcceptance(pairs),
+            GenBuchiAcceptance(sets), GenCoBuchiAcceptance(sets)]
+
+
+def test_each_kind_answers_its_verdicts_and_children():
+    # verdicts against the oracle's reading of the fields; children against
+    # the subset descent and against the largest strict subsets that the
+    # oracle puts on the other side
+    rng = random.Random(26)
+    for _ in range(60):
+        g = rng.randint(1, 5)
+        for acc in _random_acceptances(rng, g):
+            for bits in range(1, 1 << g):
+                wins = colour_set_wins(acc, bits)
+                assert acc.accepts(bits) == wins, (acc, bits)
+                other = [sub for sub in submasks(bits)
+                         if sub != bits and colour_set_wins(acc, sub) != wins]
+                children = acc.children(bits)
+                assert list(children) == sorted(quad_max_inclusion(other)), (acc, bits)
+                assert children == tuple(zielonka_children(bits, acc.accepts))
+
+
+def test_gencobuchi_wins_by_avoiding_a_listed_set():
+    acc = GenCoBuchiAcceptance((0b011, 0b100))
+    assert acc.accepts(0b100)  # avoids {0, 1}
+    assert acc.accepts(0b001)
+    assert not acc.accepts(0b101)  # meets both sets
+    assert acc.children(0b101) == (0b001, 0b100)
+    assert all(acc.accepts(bits) != dualise(acc).accepts(bits) for bits in range(1, 8))
+
+
+def test_automaton_refuses_a_priority_count_unlike_its_outputs():
+    ab = Alphabet(("a", "b"))
+    rows = (((0, 0), (0, 1)),)
+    for priorities in ((0,), (0, 1, 2)):
+        with pytest.raises(MalformedInput, match=f"parity acceptance has {len(priorities)}"
+                                                 " priorities for 2 output symbols"):
+            Automaton(1, 0, ab, ab, rows, ParityAcceptance(priorities))
+    assert not Automaton(1, 0, ab, ab, rows, ParityAcceptance((0, 1))).acceptance.accepts(0b11)
+
+
+def test_muller_acceptance_json_names_an_unknown_symbol_first():
+    # a set naming a symbol of neither alphabet is refused as unknown, one
+    # naming a symbol of the condition's own alphabet as a mismatch
+    for sets, message in (([["q"]], "unknown symbol 'q'"),
+                          ([["z"]], "must name the output symbols")):
+        with pytest.raises(MalformedInput, match=message):
+            automaton_from_json(one_state_muller(["x", "z"], sets))

@@ -903,3 +903,25 @@ def test_strategy_json_rejects_garbage():
         mutate(data)
         with pytest.raises(MalformedInput):
             strategy_from_json(data, arena)
+
+
+def test_memory_search_builds_one_tree_and_one_chromatic_number(monkeypatch):
+    # the structure search runs on from size to size, so the lower bound of
+    # min_rabin_size is worked out once per call, not once per size
+    import mullertools.rabin as rabin
+    import mullertools.zielonka as zielonka
+    calls = {"tree": 0, "chi": 0}
+    tree, chi = zielonka.zielonka_tree, rabin.chromatic_number
+
+    def counted_tree(cond):
+        calls["tree"] += 1
+        return tree(cond)
+
+    def counted_chi(graph):
+        calls["chi"] += 1
+        return chi(graph)
+
+    monkeypatch.setattr(zielonka, "zielonka_tree", counted_tree)
+    monkeypatch.setattr(rabin, "chromatic_number", counted_chi)
+    assert min_chromatic_memory_exhaustive(separation_game(), separation_condition(), 3) == 3
+    assert calls == {"tree": 1, "chi": 1}

@@ -11,7 +11,7 @@ from mullertools.cli import main
 from mullertools.core import (Alphabet, Automaton, MullerAcceptance,
                               MullerCondition, ParityAcceptance, PeriodicWord,
                               PreconditionViolation, RabinAcceptance,
-                              ScaleGuard, accepting_colour_set, accepts_up_word,
+                              ScaleGuard, accepts_up_word,
                               build_automaton, complement_condition,
                               condition_to_json)
 from mullertools.rabin import (NotRabinTypeable, RabinTypenessReport,
@@ -73,10 +73,10 @@ def test_typeness_report_against_cycle_oracle():
         for state in range(aut.n_states):
             sets = automaton_cycle_sets(aut, state, "output")
             rejecting = [s for s in sets
-                         if not accepting_colour_set(aut.acceptance, s)]
+                         if not aut.acceptance.accepts(s)]
             closed = all(
                 (x | y) not in sets
-                or not accepting_colour_set(aut.acceptance, x | y)
+                or not aut.acceptance.accepts(x | y)
                 for x in rejecting for y in rejecting)
             if not closed:
                 assert not report.typeable
@@ -87,9 +87,9 @@ def test_typeness_report_against_cycle_oracle():
             state, first, second = report.witness
             sets = automaton_cycle_sets(aut, state, "output")
             assert first in sets and second in sets
-            assert not accepting_colour_set(aut.acceptance, first)
-            assert not accepting_colour_set(aut.acceptance, second)
-            assert accepting_colour_set(aut.acceptance, first | second)
+            assert not aut.acceptance.accepts(first)
+            assert not aut.acceptance.accepts(second)
+            assert aut.acceptance.accepts(first | second)
 
 
 def _random_typeness_instance(rng: random.Random, family: int) -> Automaton:
@@ -145,7 +145,7 @@ def test_untypeable_below_a_rejecting_root():
     cond = MullerCondition.make("abcd", [("a", "b")])
     aut = build_automaton(initial=0, transitions=trans, input_symbols="abc",
                           output_symbols="abcd", acceptance=MullerAcceptance(cond))
-    assert not accepting_colour_set(aut.acceptance, 0b1111)
+    assert not aut.acceptance.accepts(0b1111)
     report = check_rabin_typeable(aut)
     assert report == RabinTypenessReport(False, (0, 0b0001, 0b0010))
 
@@ -547,3 +547,33 @@ def test_budget_below_the_bound(capsys, tmp_path):
     path.write_text(json.dumps(condition_to_json(cond)))
     assert main(["memchrom", str(path), "--max-size", "4"]) == 0
     assert '"chromatic_memory": null' in capsys.readouterr().out
+
+
+def four_letter_mask(mask: int) -> MullerCondition:
+    """The condition over abcd whose accepting sets are the set bits of a
+    15-bit mask, bit i - 1 standing for the letter set with bitset i."""
+    return MullerCondition(Alphabet(tuple("abcd")),
+                           frozenset(bits for bits in range(1, 16) if mask >> (bits - 1) & 1))
+
+
+def test_min_rabin_size_above_its_lower_bound():
+    # {bc, abc, ad}: the bound is 2, and every 2-state table fails in full
+    cond = four_letter_mask(352)
+    assert cond.accepting == {0b0110, 0b0111, 0b1001}
+    assert _lower_bound(cond, _conflicts(cond)) == 2
+    size, witness = min_rabin_size(cond, 3)
+    assert (size, flat_table(witness)) == brute_min_rabin_size(4, cond.accepting, 3)
+    assert size == 3
+
+
+def test_structure_search_refuses_past_its_cell_limit(monkeypatch, capsys, tmp_path):
+    import mullertools.rabin as rabin
+    monkeypatch.setattr(rabin, "MAX_SEARCH_CELLS", 10_000)
+    message = "the structure search tried 10001 cells at 6 states, limit 10000"
+    cond = four_letter_mask(20000)
+    with pytest.raises(ScaleGuard, match=message):
+        min_rabin_size(cond, 9)
+    path = tmp_path / "mask.json"
+    path.write_text(json.dumps(condition_to_json(cond)))
+    assert main(["memchrom", str(path), "--max-size", "9"]) == 3
+    assert message in capsys.readouterr().err
