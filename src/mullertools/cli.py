@@ -51,6 +51,14 @@ def _read_json(path: str) -> object:
         raise MalformedInput(f"{path} nests its JSON too deeply") from None
 
 
+def _read_game(path: str):
+    """An arena and the winning condition that its game file must carry."""
+    arena, cond = arena_from_json(_read_json(path))
+    if cond is None:
+        raise MalformedInput("game file carries no winning condition")
+    return arena, cond
+
+
 def _emit(args, artifact: object, pretty: str) -> None:
     """JSON artifact on stdout and summary on stderr, or the summary on
     stdout when the pretty format was asked for."""
@@ -172,9 +180,7 @@ def _cmd_rabin2colouring(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    arena, cond = arena_from_json(_read_json(args.game))
-    if cond is None:
-        raise MalformedInput("game file carries no winning condition")
+    arena, cond = _read_game(args.game)
     winner, memory, table = solve_muller_game(arena, cond)
     if winner == "eve":
         artifact = {"winner": "eve",
@@ -186,9 +192,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    arena, cond = arena_from_json(_read_json(args.game))
-    if cond is None:
-        raise MalformedInput("game file carries no winning condition")
+    arena, cond = _read_game(args.game)
     memory, table = strategy_from_json(_read_json(args.strategy), arena)
     good = verify_strategy(arena, cond, memory, table)
     _emit(args, {"verified": good}, "verified" if good else "losing strategy")
@@ -196,9 +200,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_memgame(args) -> int:
-    arena, cond = arena_from_json(_read_json(args.game))
-    if cond is None:
-        raise MalformedInput("game file carries no winning condition")
+    arena, cond = _read_game(args.game)
     limit = args.max_size if args.max_size is not None else 4
     size = min_chromatic_memory_exhaustive(arena, cond, limit)
     artifact = {"min_chromatic_memory": size, "max_size": limit}

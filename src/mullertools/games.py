@@ -19,6 +19,30 @@ from .zielonka import MAX_TREE_LETTERS, check_tree_alphabet, parity_automaton
 MAX_CONFIGS = 20000
 
 
+def _out_lists(kind: str, eve, initial: int, edges, label_ok, fault: str
+               ) -> tuple[tuple[int, ...], ...]:
+    """Out-edge ids of each vertex of a game graph, checked: it has a
+    vertex, the initial vertex and edge endpoints are vertices, label_ok
+    holds of each edge label (else the edge's fault is named) and no vertex
+    is a dead end."""
+    n = len(eve)
+    if n == 0:
+        raise MalformedInput(f"{kind} needs at least one vertex")
+    if not 0 <= initial < n:
+        raise MalformedInput("initial vertex out of range")
+    out: list[list[int]] = [[] for _ in range(n)]
+    for e, (src, dst, label) in enumerate(edges):
+        if not (0 <= src < n and 0 <= dst < n):
+            raise MalformedInput(f"edge {e} endpoint out of range")
+        if not label_ok(label):
+            raise MalformedInput(f"edge {e} {fault}")
+        out[src].append(e)
+    for v in range(n):
+        if not out[v]:
+            raise MalformedInput(f"vertex {v} has no outgoing edge")
+    return tuple(tuple(lst) for lst in out)
+
+
 @dataclass(frozen=True)
 class Arena:
     """Finite arena with vertex owners and optionally-coloured edges.
@@ -35,25 +59,13 @@ class Arena:
     edges: tuple[tuple[int, int, Optional[int]], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.eve)
-        if n == 0:
-            raise MalformedInput("arena needs at least one vertex")
-        if not 0 <= self.initial < n:
-            raise MalformedInput("initial vertex out of range")
-        out: list[list[int]] = [[] for _ in range(n)]
-        for e, (src, dst, colour) in enumerate(self.edges):
-            if not (0 <= src < n and 0 <= dst < n):
-                raise MalformedInput(f"edge {e} endpoint out of range")
-            if colour is not None and not 0 <= colour < len(self.colours):
-                raise MalformedInput(f"edge {e} colour out of range")
-            out[src].append(e)
-        for v in range(n):
-            if not out[v]:
-                raise MalformedInput(f"vertex {v} has no outgoing edge")
+        g = len(self.colours)
+        out = _out_lists("arena", self.eve, self.initial, self.edges,
+                         lambda c: c is None or 0 <= c < g, "colour out of range")
         silent = [(src, dst, 0) for src, dst, colour in self.edges if colour is None]
         if any(subcycles(silent, -1)):
             raise MalformedInput("arena has a cycle of silent edges only")
-        object.__setattr__(self, "_out", tuple(tuple(lst) for lst in out))
+        object.__setattr__(self, "_out", out)
 
     @property
     def n_vertices(self) -> int:
@@ -140,22 +152,9 @@ class ParityGame:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.eve)
-        if n == 0:
-            raise MalformedInput("parity game needs at least one vertex")
-        if not 0 <= self.initial < n:
-            raise MalformedInput("initial vertex out of range")
-        out: list[list[int]] = [[] for _ in range(n)]
-        for e, (src, dst, priority) in enumerate(self.edges):
-            if not (0 <= src < n and 0 <= dst < n):
-                raise MalformedInput(f"edge {e} endpoint out of range")
-            if priority < 0:
-                raise MalformedInput(f"edge {e} has a negative priority")
-            out[src].append(e)
-        for v in range(n):
-            if not out[v]:
-                raise MalformedInput(f"vertex {v} has no outgoing edge")
-        object.__setattr__(self, "_out", tuple(tuple(lst) for lst in out))
+        object.__setattr__(self, "_out", _out_lists(
+            "parity game", self.eve, self.initial, self.edges,
+            lambda p: p >= 0, "has a negative priority"))
 
     def out_edges(self, v: int) -> tuple[int, ...]:
         return self._out[v]  # type: ignore[attr-defined]
@@ -337,35 +336,34 @@ def product_with_parity(arena: Arena, aut: Automaton,
     minimum priority, which never decides a cycle.
 
     The arena's colours must all appear in the automaton's input alphabet.
-    The product holds only the pairs reachable from (v, initial state) for
-    some arena vertex v, numbered breadth first from those seeds in vertex
-    order.  It is closed under successors, so winning regions read off it
-    are those of the full product, and every arena vertex can be read at
-    the automaton's initial state.
-
-    Given a region, which must hold the initial vertex, the seeds are its
-    vertices only and every arena edge leaving the region is left out, so
-    the product is that of the subarena on the region.  Each vertex of the
-    region then needs an edge staying in it, as in the colour player's
-    winning region: the opponent's vertices keep all their edges there, and
-    hers keep at least one.
+    The region, every arena vertex when it is missing, must hold the
+    initial vertex.  The product holds only the pairs reachable from
+    (v, initial state) for some v in the region, numbered breadth first
+    from those seeds in vertex order, and every arena edge leaving the
+    region is left out, so it is the product of the subarena on the region.
+    It is closed under successors, so winning regions read off it are those
+    of that subarena's full product, and every region vertex can be read
+    at the automaton's initial state.  Each vertex of the region needs an
+    edge staying in it, as in the colour player's winning region: the
+    opponent's vertices keep all their edges there, and hers keep at least
+    one.
     """
     if aut.acceptance.kind != "parity":
         raise PreconditionViolation("product needs a parity automaton")
     remap = [aut.input_alphabet.position(sym) for sym in arena.colours.symbols]
     priorities = aut.acceptance.priorities
     neutral = min(priorities)
-    if region is not None and arena.initial not in region:
+    region = frozenset(range(arena.n_vertices)) if region is None else region
+    if arena.initial not in region:
         raise PreconditionViolation(f"region lacks the initial vertex {arena.initial}")
-    seeds = range(arena.n_vertices) if region is None else sorted(region)
-    pairs = [(v, aut.initial) for v in seeds]
+    pairs = [(v, aut.initial) for v in sorted(region)]
     index = {pair: i for i, pair in enumerate(pairs)}
     edges: list[tuple[int, int, int]] = []
     origin: list[int] = []
     for src, (v, q) in enumerate(pairs):  # pairs grows as new ones are found
         for e in arena.out_edges(v):
             _, dst, colour = arena.edges[e]
-            if region is not None and dst not in region:
+            if dst not in region:
                 continue
             if colour is None:
                 q2, priority = q, neutral
@@ -386,10 +384,15 @@ def product_with_parity(arena: Arena, aut: Automaton,
 # ---------------------------------------------------------------------------
 # Solving games with an explicit Muller condition on the colours.
 
-def _check_colours(arena: Arena, cond: MullerCondition) -> None:
+def _colour_bits(arena: Arena, cond: MullerCondition) -> list[int]:
+    """The condition's bit of each arena colour, by position; an arena
+    colour the condition does not name is malformed input."""
+    bits = []
     for sym in arena.colours.symbols:
         if sym not in cond.alphabet:
             raise MalformedInput(f"arena colour {sym!r} missing from the condition")
+        bits.append(cond.alphabet.bit(sym))
+    return bits
 
 
 def muller_regions(arena: Arena, cond: MullerCondition
@@ -398,9 +401,8 @@ def muller_regions(arena: Arena, cond: MullerCondition
     the arena with no product by the Zielonka solver guided by the
     condition's tree (Zielonka 1998; Dziembowski, Jurdziński and Walukiewicz
     1997)."""
-    _check_colours(arena, cond)
+    bit = _colour_bits(arena, cond)
     check_tree_alphabet(cond)
-    bit = [cond.alphabet.bit(sym) for sym in arena.colours.symbols]
     src, dst, colours = zip(*((s, d, 0 if c is None else bit[c])
                               for s, d, c in arena.edges))
     regions, _ = _zielonka(arena.eve, [arena.out_edges(v) for v in range(arena.n_vertices)],
@@ -418,13 +420,14 @@ def solve_muller_game(arena: Arena, cond: MullerCondition):
     the opponent wins.  The winner is decided on the arena by muller_regions;
     for a colour player's win, the product with the condition's parity
     automaton is built over her region only, where she wins every pair, and
-    solved.  A walk from the initial pair then follows the solver's choices
-    for her and every edge for the opponent, silent edges keeping the
-    automaton state.  The memory is chromatic: its states are the automaton
-    states the walk visits, numbered in order of first visit, and it
-    advances by reading colours as the automaton does; a colour whose
-    target the walk never visits keeps the state, and no play from the
-    initial configuration reads it.  The table lists one move for each
+    solved.  The strategy is read off that solved product: a walk from its
+    initial vertex follows the solver's edge at her vertices and every edge
+    at the opponent's, and each product vertex it visits is an (arena
+    vertex, automaton state) pair.  The memory is chromatic: its states are
+    the automaton states the walk visits, numbered in order of first visit,
+    and it advances by reading colours as the automaton does; a colour
+    whose target the walk never visits keeps the state, and no play from
+    the initial configuration reads it.  The table lists one move for each
     colour-player configuration the walk visits.
     """
     region = muller_regions(arena, cond)[0]
@@ -435,48 +438,32 @@ def solve_muller_game(arena: Arena, cond: MullerCondition):
     solution = solve_parity_game(product.game)
     if product.game.initial not in solution.eve_region:
         raise RuntimeError("the parity product contradicts muller_regions")
-    remap = [aut.input_alphabet.position(sym) for sym in arena.colours.symbols]
+    game = product.game
+    pairs = list(product.index)  # product vertex -> (arena vertex, automaton state)
     states = {aut.initial: 0}  # automaton state -> memory state, by first visit
     moves: dict[tuple[int, int], int] = {}
-    start = (arena.initial, aut.initial)
-    seen = {start}
-    queue = [start]
-    for v, q in queue:  # queue grows as configurations are found
-        if arena.eve[v]:
-            chosen = product.edge_origin[solution.eve_strategy[product.index[(v, q)]]]
-            moves[(v, states[q])] = chosen
+    seen = {game.initial}
+    queue = [game.initial]
+    for p in queue:  # queue grows as product vertices are found
+        v, q = pairs[p]
+        if game.eve[p]:
+            chosen = solution.eve_strategy[p]
+            moves[(v, states[q])] = product.edge_origin[chosen]
             options: tuple[int, ...] = (chosen,)
         else:
-            options = arena.out_edges(v)
+            options = game.out_edges(p)
         for e in options:
-            _, dst, colour = arena.edges[e]
-            key = (dst, q if colour is None else aut.delta[q][remap[colour]][0])
-            if key not in seen:
-                seen.add(key)
-                queue.append(key)
-                states.setdefault(key[1], len(states))
+            dst = game.edges[e][1]
+            if dst not in seen:
+                seen.add(dst)
+                queue.append(dst)
+                states.setdefault(pairs[dst][1], len(states))
+    remap = [aut.input_alphabet.position(sym) for sym in arena.colours.symbols]
     update = tuple(tuple(states.get(aut.delta[q][remap[c]][0], m)
                          for c in range(len(arena.colours)))
                    for q, m in states.items())
     memory = MemoryStructure("chromatic", len(states), 0, update)
     return "eve", memory, StrategyTable.from_dict(moves)
-
-
-def _all_cycles_accepting(cond: MullerCondition, arena: Arena, edges) -> bool:
-    """Whether every cycle of a graph whose edges carry arena colours (None
-    when silent) produces an accepting set of the condition: whether each
-    component accepts and has no alternating children."""
-    bit = [cond.alphabet.bit(sym) for sym in arena.colours.symbols]
-    labelled = [(src, dst, 0 if colour is None else bit[colour])
-                for src, dst, colour in edges]
-    accepts = cond.accepting.__contains__
-    for _, cover, internal in subcycles(labelled, -1):
-        if cover.bit_count() > MAX_TREE_LETTERS:
-            raise ScaleGuard(f"{cover.bit_count()} colours in one component,"
-                             f" limit {MAX_TREE_LETTERS}")
-        if not accepts(cover) or alternating_children(internal, cover, accepts, cond.children):
-            return False
-    return True
 
 
 def verify_strategy(arena: Arena, cond: MullerCondition,
@@ -489,12 +476,12 @@ def verify_strategy(arena: Arena, cond: MullerCondition,
     """
     if not memory.width_matches(arena):
         raise MalformedInput("memory update width does not match the arena")
-    _check_colours(arena, cond)
+    bit = _colour_bits(arena, cond)
     # the (vertex, memory) graph reachable under the table, breadth first
     start = (arena.initial, memory.initial)
     index: dict[tuple[int, int], int] = {start: 0}
     queue = [start]
-    edges: list[tuple[int, int, Optional[int]]] = []
+    edges: list[tuple[int, int, int]] = []  # (src, dst, condition bit or 0)
     for src, (v, m) in enumerate(queue):  # queue grows as configs are found
         if arena.eve[v]:
             chosen = table.move(v, m)
@@ -513,8 +500,16 @@ def verify_strategy(arena: Arena, cond: MullerCondition,
                 if len(index) > MAX_CONFIGS:
                     raise ScaleGuard(f"configuration graph reached {len(index)}"
                                      f" nodes, limit {MAX_CONFIGS}")
-            edges.append((src, index[key], colour))
-    return _all_cycles_accepting(cond, arena, edges)
+            edges.append((src, index[key], 0 if colour is None else bit[colour]))
+    # every cycle accepts when each component accepts and has no alternating children
+    accepts = cond.accepting.__contains__
+    for _, cover, internal in subcycles(edges, -1):
+        if cover.bit_count() > MAX_TREE_LETTERS:
+            raise ScaleGuard(f"{cover.bit_count()} colours in one component,"
+                             f" limit {MAX_TREE_LETTERS}")
+        if not accepts(cover) or alternating_children(internal, cover, accepts, cond.children):
+            return False
+    return True
 
 
 def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
@@ -568,7 +563,7 @@ def _rejecting_sets(arena: Arena, cond: MullerCondition) -> dict[int, list[int]]
     """Rejecting sets of arena colour positions (as bitsets) that a cycle
     through an edge may produce, keyed by the edge's colour bit: the sets
     holding that colour, and every rejecting set for a silent edge (key 0)."""
-    bit = [cond.alphabet.bit(sym) for sym in arena.colours.symbols]
+    bit = _colour_bits(arena, cond)
     g = len(bit)
     rejecting = [colours for colours in range(1, 1 << g)
                  if not cond.admits(sum(bit[c] for c in range(g) if colours >> c & 1))]

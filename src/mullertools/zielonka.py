@@ -236,5 +236,17 @@ def tree_from_json(data: object, alphabet: Alphabet | None = None) -> ZielonkaTr
     if not isinstance(data["children"], list):
         raise MalformedInput("tree field 'children' must be a list")
     children = tuple(tree_from_json(child, alphabet) for child in data["children"])
-    return ZielonkaTree(alphabet, alphabet.bits(data["label"]),
-                        data["accepting"], children)
+    label = alphabet.bits(data["label"])
+    # the shape zielonka_tree builds, which parity_automaton_from_tree reads
+    for i, child in enumerate(children):
+        names = "{" + ",".join(child.label_names()) + "}"
+        if not child.label or child.label | label != label or child.label == label:
+            raise MalformedInput(f"tree child {names} is not a non-empty strict"
+                                 " subset of its parent's label")
+        if child.accepting == data["accepting"]:
+            raise MalformedInput(f"tree child {names} has its parent's verdict")
+        if any(earlier.label >= child.label or earlier.label & ~child.label == 0
+               for earlier in children[:i]):
+            raise MalformedInput(f"tree child {names} does not follow its earlier"
+                                 " siblings in ascending label order, each incomparable")
+    return ZielonkaTree(alphabet, label, data["accepting"], children)

@@ -332,6 +332,33 @@ def test_region_product_needs_the_initial_vertex():
         product_with_parity(arena, aut, frozenset({1}))
 
 
+def test_product_without_a_region_is_the_product_on_every_vertex():
+    rng = random.Random(2027)
+    for _ in range(200):
+        arena = random_arena(rng, rng.randint(1, 7), 3, epsilon_free=False)
+        aut = parity_automaton(random_condition(rng, 3))
+        whole = product_with_parity(arena, aut)
+        spelled = product_with_parity(arena, aut, frozenset(range(arena.n_vertices)))
+        assert whole.index == spelled.index
+        assert whole.game == spelled.game
+        assert whole.edge_origin == spelled.edge_origin
+
+
+def test_arena_colour_missing_from_the_condition_has_one_message():
+    # colour c of the arena is not a letter of the condition over {a, b}
+    arena = two_cycle_game(("a", "c"), ("b",), Alphabet(("a", "b", "c")))
+    cond = at_least_two_colours(AB)
+    memory = MemoryStructure("chromatic", 1, 0, ((0, 0, 0),))
+    table = StrategyTable.from_dict({(0, 0): 0, (1, 0): 1})
+    message = "arena colour 'c' missing from the condition"
+    for call in (lambda: muller_regions(arena, cond),
+                 lambda: solve_muller_game(arena, cond),
+                 lambda: verify_strategy(arena, cond, memory, table),
+                 lambda: min_chromatic_memory_exhaustive(arena, cond, 2)):
+        with pytest.raises(MalformedInput, match=f"^{message}$"):
+            call()
+
+
 def test_product_requires_parity():
     arena = two_cycle_game(("a",), ("b",), AB)
     from mullertools.core import GenBuchiAcceptance, Automaton

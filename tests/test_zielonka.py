@@ -333,3 +333,45 @@ def test_tree_reader_checks_the_label_of_every_node(label):
     data["children"][0]["label"] = label
     with pytest.raises(MalformedInput, match="'label' must be a list of symbols"):
         tree_from_json(data)
+
+
+def test_tree_reader_refuses_a_child_with_its_parents_label_and_verdict():
+    # read without the shape checks, its automaton had one state emitting
+    # priority 1 on both letters, rejecting every word although the root
+    # says {a, b} accepts
+    data = {"label": ["a", "b"], "accepting": True,
+            "children": [{"label": ["a", "b"], "accepting": True, "children": []}]}
+    with pytest.raises(MalformedInput, match="not a non-empty strict subset"):
+        tree_from_json(data)
+
+
+def leaf(label, accepting):
+    return {"label": label, "accepting": accepting, "children": []}
+
+
+@pytest.mark.parametrize("children, message", [
+    ([leaf(["a", "b", "c"], False)], "not a non-empty strict subset"),
+    ([leaf([], False)], "not a non-empty strict subset"),
+    ([leaf(["a"], True)], "has its parent's verdict"),
+    ([leaf(["b"], False), leaf(["a"], False)], "ascending label order"),
+    ([leaf(["a"], False), leaf(["a", "b"], False)], "ascending label order"),
+    ([leaf(["a", "b"], False), leaf(["a", "b"], False)], "ascending label order"),
+], ids=["whole-label", "empty", "same-verdict", "descending", "nested", "repeated"])
+def test_tree_reader_refuses_what_is_not_an_alternating_subset_tree(children, message):
+    data = {"label": ["a", "b", "c"], "accepting": True, "children": children}
+    with pytest.raises(MalformedInput, match=message):
+        tree_from_json(data)
+    # the same fault one level down
+    data = {"label": ["a", "b", "c", "d"], "accepting": False,
+            "children": [data, leaf(["d"], True)]}
+    with pytest.raises(MalformedInput, match=message):
+        tree_from_json(data)
+
+
+def test_tree_reader_accepts_every_built_tree():
+    rng = random.Random(400)
+    for _ in range(400):
+        cond = random_condition(rng, rng.randint(1, 5))
+        for tree in (zielonka_tree(cond), zielonka_tree_from_parity(parity_automaton(cond))):
+            back = tree_from_json(tree_to_json(tree), cond.alphabet)
+            assert trees_isomorphic(tree, back)
