@@ -10,7 +10,7 @@ from typing import Optional
 from .core import (Alphabet, Automaton, MalformedInput, MullerCondition,
                    PreconditionViolation, PropertyViolation, ScaleGuard,
                    alternating_children, bit_indices, condition_from_json,
-                   condition_to_json, cycles_through, is_integer,
+                   condition_to_json, edge_component, is_integer,
                    strongly_connected_components, subcycles)
 from .rabin import MAX_TABLE_CELLS, _typeable_tables, canonical_structures
 from .zielonka import MAX_TREE_LETTERS, check_tree_alphabet, parity_automaton
@@ -337,10 +337,11 @@ def product_with_parity(arena: Arena, aut: Automaton,
 
     The arena's colours must all appear in the automaton's input alphabet.
     The region, every arena vertex when it is missing, must hold the
-    initial vertex.  The product holds only the pairs reachable from
-    (v, initial state) for some v in the region, numbered breadth first
-    from those seeds in vertex order, and every arena edge leaving the
-    region is left out, so it is the product of the subarena on the region.
+    initial vertex and only arena vertices.  The product holds only the
+    pairs reachable from (v, initial state) for some v in the region,
+    numbered breadth first from those seeds in vertex order, and every arena
+    edge leaving the region is left out, so it is the product of the
+    subarena on the region.
     It is closed under successors, so winning regions read off it are those
     of that subarena's full product, and every region vertex can be read
     at the automaton's initial state.  Each vertex of the region needs an
@@ -356,6 +357,9 @@ def product_with_parity(arena: Arena, aut: Automaton,
     region = frozenset(range(arena.n_vertices)) if region is None else region
     if arena.initial not in region:
         raise PreconditionViolation(f"region lacks the initial vertex {arena.initial}")
+    if stray := region - frozenset(range(arena.n_vertices)):
+        raise PreconditionViolation(f"region holds {min(stray, key=repr)!r},"
+                                    " which is not an arena vertex")
     pairs = [(v, aut.initial) for v in sorted(region)]
     index = {pair: i for i, pair in enumerate(pairs)}
     edges: list[tuple[int, int, int]] = []
@@ -501,15 +505,23 @@ def verify_strategy(arena: Arena, cond: MullerCondition,
                     raise ScaleGuard(f"configuration graph reached {len(index)}"
                                      f" nodes, limit {MAX_CONFIGS}")
             edges.append((src, index[key], 0 if colour is None else bit[colour]))
-    # every cycle accepts when each component accepts and has no alternating children
-    accepts = cond.accepting.__contains__
     for _, cover, internal in subcycles(edges, -1):
         if cover.bit_count() > MAX_TREE_LETTERS:
             raise ScaleGuard(f"{cover.bit_count()} colours in one component,"
                              f" limit {MAX_TREE_LETTERS}")
-        if not accepts(cover) or alternating_children(internal, cover, accepts, cond.children):
+        if not _component_wins(cond, cover, internal):
             return False
     return True
+
+
+def _component_wins(cond: MullerCondition, cover: int, internal) -> bool:
+    """Every cycle of a strongly connected component, with edges internal
+    (src, dst, condition bit or 0) coloured cover, accepts: the cover does
+    and the component has no alternating child (Casares-Colcombet-Fijalkow
+    2021)."""
+    accepts = cond.accepting.__contains__
+    return accepts(cover) and not alternating_children(internal, cover, accepts,
+                                                       cond.children)
 
 
 def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
@@ -518,20 +530,23 @@ def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
 
     For each size, every canonical colour-update structure is paired with a
     depth-first search over strategy tables on the reachable configurations;
-    the first size admitting a verified winning pair is returned, or None
-    when none up to max_size works; a size below 1 raises
-    PreconditionViolation.  A game the colour player loses, as decided by
-    muller_regions, is answered None before any table is drawn.
+    the first size admitting a winning pair is returned, or None when none
+    up to max_size works; a size below 1 raises PreconditionViolation.  A
+    game the colour player loses, as decided by muller_regions, is answered
+    None before any table is drawn.
 
-    The condition restricted to the arena's colours bounds the answer: the
-    structure of a minimal Rabin automaton for it is a chromatic memory with
-    which the colour player wins every game over it that they win at all
-    (Casares 2021; it rests on the positionality of Rabin games, Klarlund
-    1994).  The game is won here, so once the structure search of
-    min_rabin_size, run one size after another, finds that structure at the
-    current size, the size is the answer and no table is drawn for it.
-    Smaller sizes are still enumerated in full, and sizes whose tables
-    exceed the structure search's MAX_TABLE_CELLS are only enumerated.
+    The call reads one condition, the given one restricted to the arena's
+    colours: the regions, the structure search and every table search use
+    it, so each label's Zielonka children are worked out once a call.  It
+    bounds the answer: the structure of a minimal Rabin automaton for it is
+    a chromatic memory with which the colour player wins every game over it
+    that they win at all (Casares 2021; it rests on the positionality of
+    Rabin games, Klarlund 1994).  The game is won here, so once the
+    structure search of min_rabin_size, run one size after another, finds
+    that structure at the current size, the size is the answer and no table
+    is drawn for it.  Smaller sizes are still enumerated in full, and sizes
+    whose tables exceed the structure search's MAX_TABLE_CELLS are only
+    enumerated.
     """
     if max_size < 1:
         raise PreconditionViolation(f"state budget {max_size} is below 1")
@@ -541,9 +556,10 @@ def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
     if arena.n_vertices * max_size > 400:
         raise ScaleGuard(f"{arena.n_vertices} vertices × {max_size} states"
                          f" = {arena.n_vertices * max_size}, limit 400")
-    rejecting = _rejecting_sets(arena, cond)
+    bit = _colour_bits(arena, cond)
     own = MullerCondition(arena.colours, frozenset(
-        colours for colours in range(1, 1 << g) if colours not in rejecting[0]))
+        colours for colours in range(1, 1 << g)
+        if cond.admits(sum(bit[c] for c in bit_indices(colours)))))
     if arena.initial in muller_regions(arena, own)[1]:
         return None
     tables = _typeable_tables(own)  # stepped once a size: the sizes that fit come first
@@ -554,68 +570,55 @@ def min_chromatic_memory_exhaustive(arena: Arena, cond: MullerCondition,
             update = tuple(tuple(flat[m * g + c] for c in range(g))
                            for m in range(size))
             memory = MemoryStructure("chromatic", size, 0, update)
-            if _exists_winning_table(arena, memory, rejecting):
+            if _exists_winning_table(arena, memory, own):
                 return size
     return None
 
 
-def _rejecting_sets(arena: Arena, cond: MullerCondition) -> dict[int, list[int]]:
-    """Rejecting sets of arena colour positions (as bitsets) that a cycle
-    through an edge may produce, keyed by the edge's colour bit: the sets
-    holding that colour, and every rejecting set for a silent edge (key 0)."""
-    bit = _colour_bits(arena, cond)
-    g = len(bit)
-    rejecting = [colours for colours in range(1, 1 << g)
-                 if not cond.admits(sum(bit[c] for c in range(g) if colours >> c & 1))]
-    found = {1 << c: [colours for colours in rejecting if colours >> c & 1]
-             for c in range(g)}
-    found[0] = rejecting
-    return found
-
-
 def _exists_winning_table(arena: Arena, memory: MemoryStructure,
-                          rejecting: dict[int, list[int]]) -> bool:
-    """Depth-first search over strategy tables on reachable configurations.
+                          cond: MullerCondition) -> bool:
+    """Depth-first search over strategy tables on reachable configurations,
+    for a condition over the arena's own colours.
 
-    Configurations are discovered as choices are made; the opponent's moves
-    are expanded eagerly, the colour player's lazily.  A rejecting cycle can
-    only survive further choices (edges are only ever added), so a choice
-    that closes one prunes the whole subtree.  The cycles a choice creates
-    are those using one of the edges it adds: the chosen edge and the
-    opponent's edges expanded behind it.  Each such edge is checked, by
-    cycles_through, against the rejecting sets (from _rejecting_sets) its
-    colour can lie in.
+    Configurations are discovered breadth first as choices are made; the
+    opponent's moves are expanded eagerly, the colour player's lazily.  A
+    rejecting cycle survives every further choice (edges are only ever
+    added), so a choice that closes one prunes the whole subtree.  Every
+    cycle the graph held before a choice accepts, so the choice closes a
+    rejecting cycle exactly when the strongly connected component of an
+    edge it adds (the chosen edge and the opponent's edges expanded behind
+    it) is rejecting, by the rule verify_strategy applies to each
+    component; each such component is judged once.
     """
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []  # discovery order, for undo
-    eve_configs: list[tuple[int, int]] = []
-    out: list[list[tuple[int, int]]] = []  # per node: (successor, colour bit)
-    edges: list[tuple[int, int, int]] = []  # (src, dst, colour bit), in order
+    def follow(frontier: list) -> list[tuple[int, int]]:
+        """Add the edges of each (node, configuration, arena edges) in the
+        frontier and of every opponent move behind them, breadth first;
+        returns the added edges as (src, dst) nodes."""
+        added = []
+        for src, (_, m), moves in frontier:  # frontier grows as opponent configs are found
+            for e in moves:
+                _, dst, colour = arena.edges[e]
+                nxt = (dst, memory.step(m, e, colour))
+                if nxt not in index:
+                    index[nxt] = len(out)
+                    out.append([])
+                    if arena.eve[dst]:
+                        eve_configs.append(nxt)
+                    else:
+                        frontier.append((index[nxt], nxt, arena.out_edges(dst)))
+                out[src].append((index[nxt], 0 if colour is None else 1 << colour))
+                added.append((src, index[nxt]))
+        return added
 
-    def add_edge(src: int, dst: int, colour: Optional[int]) -> None:
-        bits = 0 if colour is None else 1 << colour
-        out[src].append((dst, bits))
-        edges.append((src, dst, bits))
-
-    def discover(cfg) -> None:
-        if cfg in index:
-            return
-        index[cfg] = len(index)
-        order.append(cfg)
-        out.append([])
-        v, m = cfg
-        if arena.eve[v]:
-            eve_configs.append(cfg)
-            return
-        for e in arena.out_edges(v):
-            _, dst, colour = arena.edges[e]
-            nxt = (dst, memory.step(m, e, colour))
-            discover(nxt)
-            add_edge(index[cfg], index[nxt], colour)
-
-    def new_cycles_accepting(first_edge: int) -> bool:
-        for src, dst, bits in edges[first_edge:]:
-            for _ in cycles_through(out, src, dst, rejecting[bits]):
+    def components_win(added: list[tuple[int, int]]) -> bool:
+        judged: set[int] = set()
+        for src, dst in added:
+            if src in judged:
+                continue  # an edge from a judged component on a cycle lies in it
+            comp, cover = edge_component(out, src, dst, 0)
+            judged |= comp
+            internal = [(u, w, bits) for u in comp for w, bits in out[u] if w in comp]
+            if comp and not _component_wins(cond, cover, internal):
                 return False
         return True
 
@@ -624,29 +627,24 @@ def _exists_winning_table(arena: Arena, memory: MemoryStructure,
         if cursor == len(eve_configs):
             return True  # the check after the last choice covered the graph
         cfg = eve_configs[cursor]
-        v, m = cfg
-        for e in arena.out_edges(v):
-            saved_nodes, saved_edges = len(order), len(edges)
-            saved_eve = len(eve_configs)
-            _, dst, colour = arena.edges[e]
-            nxt = (dst, memory.step(m, e, colour))
-            discover(nxt)
-            add_edge(index[cfg], index[nxt], colour)
-            if new_cycles_accepting(saved_edges) and explore(cursor + 1):
+        node = index[cfg]
+        for e in arena.out_edges(cfg[0]):
+            saved_nodes, saved_eve = len(out), len(eve_configs)
+            if components_win(follow([(node, cfg, (e,))])) and explore(cursor + 1):
                 return True
-            for gone in order[saved_nodes:]:
-                del index[gone]
-            del order[saved_nodes:]
-            del eve_configs[saved_eve:]
+            while len(index) > saved_nodes:
+                index.popitem()
             del out[saved_nodes:]
-            out[index[cfg]].pop()  # the only new edge leaving an old node
-            del edges[saved_edges:]
+            del eve_configs[saved_eve:]
+            out[node].pop()  # the only new edge leaving an old node
         return False
 
-    discover((arena.initial, memory.initial))
-    if not new_cycles_accepting(0):
-        return False
-    return explore(0)
+    start = (arena.initial, memory.initial)
+    index = {start: 0}  # configuration -> node, in discovery order, so undo pops
+    out: list[list[tuple[int, int]]] = [[]]  # per node: (successor, colour bit or 0)
+    eve_configs = [start] if arena.eve[arena.initial] else []
+    opening = [] if eve_configs else [(0, start, arena.out_edges(arena.initial))]
+    return components_win(follow(opening)) and explore(0)
 
 
 # ---------------------------------------------------------------------------

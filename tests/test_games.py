@@ -10,7 +10,7 @@ from mullertools.core import (Alphabet, MalformedInput, MullerCondition,
                               ScaleGuard)
 from mullertools.games import (Arena, MemoryStructure, ParityGame,
                                StrategyTable, _exists_winning_table,
-                               _rejecting_sets, _zielonka, arena_from_json,
+                               _zielonka, arena_from_json,
                                arena_to_json, at_least_two_colours,
                                exactly_two_colours,
                                min_chromatic_memory_exhaustive, muller_regions,
@@ -330,6 +330,16 @@ def test_region_product_needs_the_initial_vertex():
     aut = parity_automaton(at_least_two_colours(AB))
     with pytest.raises(PreconditionViolation, match="initial vertex 0"):
         product_with_parity(arena, aut, frozenset({1}))
+
+
+def test_region_product_refuses_a_non_vertex():
+    # 99 lies past the last vertex and -1 before the first: the one ended in
+    # an IndexError, the other read the last vertex's edges for (-1, q0)
+    arena = two_cycle_game(("a",), ("b",), AB)
+    aut = parity_automaton(at_least_two_colours(AB))
+    for region, stray in ((frozenset({0, 99}), "99"), (frozenset({-1, 0}), "-1")):
+        with pytest.raises(PreconditionViolation, match=f"^region holds {stray},"):
+            product_with_parity(arena, aut, region)
 
 
 def test_product_without_a_region_is_the_product_on_every_vertex():
@@ -762,9 +772,9 @@ def test_separation_game_draws_no_three_state_table(monkeypatch):
     searched = []
     table_search = games._exists_winning_table
 
-    def counted_search(arena, memory, rejecting):
+    def counted_search(arena, memory, cond):
         searched.append(memory.size)
-        return table_search(arena, memory, rejecting)
+        return table_search(arena, memory, cond)
 
     monkeypatch.setattr(games, "canonical_structures", counted)
     monkeypatch.setattr(games, "_exists_winning_table", counted_search)
@@ -838,7 +848,29 @@ def test_memory_search_sees_cycles_behind_the_choice():
     arena = Arena(AB, (True, False), 0, ((0, 1, 0), (1, 1, 1)))
     cond = MullerCondition(AB, frozenset({0b01, 0b11}))
     memory = MemoryStructure("chromatic", 1, 0, ((0, 0),))
-    assert not _exists_winning_table(arena, memory, _rejecting_sets(arena, cond))
+    assert not _exists_winning_table(arena, memory, cond)
+    assert min_chromatic_memory_exhaustive(arena, cond, 2) is None
+
+
+def test_memory_search_sees_a_rejecting_cycle_inside_an_accepting_component(monkeypatch):
+    # the arena of the CI's lost.json, started at the colour player's
+    # vertex: her only edge returns on a to the opponent, who loops on a or
+    # moves back on b.  That choice closes one component producing {a, b},
+    # which accepts, and the opponent keeps to its a-loop, a rejecting
+    # alternating child
+    import mullertools.games as games
+    alternating, children = games.alternating_children, []
+
+    def recorded(*args):
+        children.append(alternating(*args))
+        return children[-1]
+
+    monkeypatch.setattr(games, "alternating_children", recorded)
+    arena = Arena(AB, (False, True), 1, ((0, 0, 0), (0, 1, 1), (1, 0, 0)))
+    cond = MullerCondition(AB, frozenset({0b11}))
+    memory = MemoryStructure("chromatic", 1, 0, ((0, 0),))
+    assert not _exists_winning_table(arena, memory, cond)
+    assert [[cover for _, cover, _ in found] for found in children] == [[0b01]]
     assert min_chromatic_memory_exhaustive(arena, cond, 2) is None
 
 
